@@ -267,7 +267,9 @@ def compile_model(
     return CompiledModel(model, space, stages)
 
 
-def scan_frames(data, offset: int = 0) -> Tuple[List[int], int, Optional[str]]:
+def scan_frames(
+    data, offset: int = 0, strict: bool = False
+) -> Tuple[List[int], int, Optional[str]]:
     """Walk concatenated wire frames; collect each synopsis's offset.
 
     Returns ``(offsets, end_offset, error)`` where ``error`` is the
@@ -276,12 +278,20 @@ def scan_frames(data, offset: int = 0) -> Tuple[List[int], int, Optional[str]]:
     scanned before the error point, so a caller can ingest exactly what
     the scalar path would have ingested before raising — the batch path
     relies on this for error-for-error equivalence.
+
+    ``strict=True`` is :func:`repro.core.synopsis.decode_frame`'s
+    contract instead of the detect path's: exactly one frame is scanned
+    (``end_offset`` is where it ended, so the caller can tell trailing
+    bytes), and a negative wire duration is an error too — the one
+    field check building a :class:`~repro.core.synopsis.TaskSynopsis`
+    makes that classifying straight from the bytes does not.  The
+    collector validates frames with it and never decodes them.
     """
     offsets: List[int] = []
     unpack_frame = FRAME_HEADER.unpack_from
     end = offset
     total = len(data)
-    while offset < total:
+    while strict or offset < total:
         if total - offset < _FRAME_HEADER_SIZE:
             return offsets, end, "truncated frame header"
         length, count = unpack_frame(data, offset)
@@ -291,23 +301,33 @@ def scan_frames(data, offset: int = 0) -> Tuple[List[int], int, Optional[str]]:
             return offsets, end, "truncated frame payload"
         record = start
         seen = 0
+        error = None
         while record < frame_end:
             if frame_end - record < _HEADER_SIZE:
-                return offsets, end, "truncated synopsis header"
+                error = "truncated synopsis header"
+                break
             record_end = record + _HEADER_SIZE + _ENTRY_SIZE * data[record + 18]
             if record_end > frame_end:
-                return offsets, end, "truncated synopsis log point entries"
+                error = "truncated synopsis log point entries"
+                break
             offsets.append(record)
             seen += 1
             record = record_end
-        if seen != count:
-            return (
-                offsets,
-                end,
-                f"frame count mismatch: header says {count}, payload "
-                f"holds {seen}",
-            )
+        if strict:
+            # Checked after the walk so the detect path's loop pays
+            # nothing for it; a record before the break point still
+            # reports first, as the object decoder would.
+            for record in offsets:
+                if data[record + 17] > 0x7F:  # sign of the int32 duration
+                    duration_us = SYNOPSIS_HEADER.unpack_from(data, record)[4]
+                    return offsets, end, f"negative duration {duration_us / 1_000_000.0}"
+        if error is None and seen != count:
+            error = f"frame count mismatch: header says {count}, payload holds {seen}"
+        if error is not None:
+            return offsets, end, error
         offset = end = frame_end
+        if strict:
+            break
     return offsets, end, None
 
 

@@ -52,6 +52,14 @@ _WIRE_SIGNATURE_CACHE_MAX = 1 << 16
 #: working set of the gathered columns (~1 MiB of int64 per column).
 _BATCH_CHUNK = 1 << 16
 
+#: Scanned batches with fewer records than this take the per-record
+#: loop; at or above it, the vector kernel.  Both are exact; the choice
+#: is by cost alone.  The kernel pays a fixed ~300 us of numpy call
+#: overhead per batch, the loop ~1.8 us per record: DESIGN §13's table
+#: (ns/task, loop vs kernel: 64 -> 1817 vs 5346, 512 -> 1905 vs 1917,
+#: 4096 -> 1882 vs 1075) puts the crossover at 512.
+_VECTOR_MIN_RECORDS = 512
+
 #: Window-close triggers tolerated per chunk before the remainder of the
 #: chunk degrades to the per-record path.  Each trigger rescans the
 #: chunk's tail, so an adversarial close-every-task stream would
@@ -494,6 +502,11 @@ class AnomalyDetector:
         (the complete prefix is ingested, then ``ValueError`` raises
         with the scalar path's message).
 
+        A batch too small to repay the vector kernel's fixed cost (the
+        deployed default: one 64-synopsis frame per call) runs the same
+        records through the exact per-record loop instead; the choice is
+        made from the scanned record count alone and is not a fallback.
+
         Equivalence is preserved under degradation: when tracing is on,
         numpy is unavailable, or a chunk trips an exactness guard
         (timestamp/window-index range, signature-id exhaustion,
@@ -512,7 +525,7 @@ class AnomalyDetector:
         try:
             if self._tracing or not columnar.HAVE_NUMPY:
                 return self._observe_batch_scalar(data, offset)
-            return self._observe_batch_vector(data, offset)
+            return self._observe_scanned(data, offset)
         finally:
             self._columnar_tasks += self._tasks_seen - before
 
@@ -536,12 +549,14 @@ class AnomalyDetector:
             self._columnar_fallback_tasks += self._tasks_seen - before
         return events
 
-    def _observe_batch_vector(self, data: bytes, offset: int) -> List[AnomalyEvent]:
-        """Vectorized batch ingest over the scanned record offsets."""
+    def _observe_scanned(self, data: bytes, offset: int) -> List[AnomalyEvent]:
+        """Scan once, then the cheaper exact route for the record count."""
         np = columnar._np
         offsets, _, error = columnar.scan_frames(data, offset)
-        events: List[AnomalyEvent] = []
-        if offsets:
+        if len(offsets) < _VECTOR_MIN_RECORDS:
+            events = self._observe_records(data, offsets)
+        else:
+            events = []
             compiled = self.compiled_model()
             b = np.frombuffer(data, dtype=np.uint8)
             offs_all = np.asarray(offsets, dtype=np.int64)
@@ -559,7 +574,7 @@ class AnomalyDetector:
         """Decode, classify, and apply one chunk of records.
 
         Any exactness guard tripping hands the (rest of the) chunk to
-        :meth:`_observe_records`; otherwise counts are grouped by
+        :meth:`_degrade_records`; otherwise counts are grouped by
         (window, stage, signature, verdict) and applied in
         first-occurrence order, which reproduces the scalar path's
         bucket / perf-dict creation order exactly.
@@ -584,7 +599,7 @@ class AnomalyDetector:
                 compiled.space,
             )
         if sig is None:
-            events.extend(self._observe_records(data, offs, 0, m))
+            events.extend(self._degrade_records(data, offs))
             return
         first, boundaries = bounds
         idx = first + np.searchsorted(
@@ -633,7 +648,7 @@ class AnomalyDetector:
                     events.extend(emitted)
                 triggers += 1
                 if triggers >= _BATCH_MAX_TRIGGERS and pos < m:
-                    events.extend(self._observe_records(data, offs, pos, m))
+                    events.extend(self._degrade_records(data, offs[pos:]))
                     return
 
     def _apply_counts(self, np, kk, compiled) -> None:
@@ -693,12 +708,23 @@ class AnomalyDetector:
                         perf[0] += count
             self._tasks_seen += count
 
-    def _observe_records(self, data, offs, lo: int, hi: int) -> List[AnomalyEvent]:
-        """Exact per-record fallback for a slice of scanned offsets.
+    def _degrade_records(self, data, offs) -> List[AnomalyEvent]:
+        """A guard tripped: the chunk's records at ``offs`` (a numpy
+        column) go through :meth:`_observe_records`, counted in
+        ``columnar_fallback_tasks``."""
+        before = self._tasks_seen
+        try:
+            return self._observe_records(data, offs.tolist())
+        finally:
+            self._columnar_fallback_tasks += self._tasks_seen - before
+
+    def _observe_records(self, data, records: List[int]) -> List[AnomalyEvent]:
+        """Exact per-record route over scanned record offsets.
 
         Decodes each record and funnels it through :meth:`_observe`,
         identically to the fused scalar wire path (shared signature
-        cache included).  Only reached with tracing off.
+        cache included).  Only reached with tracing off.  Serves small
+        batches by choice and guard-tripped chunks as the fallback.
         """
         events: List[AnomalyEvent] = []
         unpack_header = SYNOPSIS_HEADER.unpack_from
@@ -706,32 +732,27 @@ class AnomalyDetector:
         cache = self._wire_signatures
         per_host = self.model.config.per_host
         observe = self._observe
-        before = self._tasks_seen
-        try:
-            for i in range(lo, hi):
-                record = int(offs[i])
-                host_id, stage_id, _uid, ts_ms, duration_us, n = unpack_header(
-                    data, record
-                )
-                start = record + header_size
-                entry_bytes = data[start : start + 6 * n]
-                signature = cache.get(entry_bytes)
-                if signature is None:
-                    flat = entry_struct(n).unpack_from(data, start) if n else ()
-                    if len(cache) >= _WIRE_SIGNATURE_CACHE_MAX:
-                        cache.clear()
-                    signature = cache[entry_bytes] = intern_signature(flat[0::2])
-                emitted = observe(
-                    (host_id, stage_id) if per_host else (0, stage_id),
-                    signature,
-                    duration_us / 1_000_000.0,
-                    ts_ms / 1000.0,
-                    None,
-                )
-                if emitted:
-                    events.extend(emitted)
-        finally:
-            self._columnar_fallback_tasks += self._tasks_seen - before
+        for record in records:
+            host_id, stage_id, _uid, ts_ms, duration_us, n = unpack_header(
+                data, record
+            )
+            start = record + header_size
+            entry_bytes = data[start : start + 6 * n]
+            signature = cache.get(entry_bytes)
+            if signature is None:
+                flat = entry_struct(n).unpack_from(data, start) if n else ()
+                if len(cache) >= _WIRE_SIGNATURE_CACHE_MAX:
+                    cache.clear()
+                signature = cache[entry_bytes] = intern_signature(flat[0::2])
+            emitted = observe(
+                (host_id, stage_id) if per_host else (0, stage_id),
+                signature,
+                duration_us / 1_000_000.0,
+                ts_ms / 1000.0,
+                None,
+            )
+            if emitted:
+                events.extend(emitted)
         return events
 
     def flush(self) -> List[AnomalyEvent]:

@@ -111,7 +111,12 @@ class NodeRuntime:
         (e.g. :attr:`SAAD.address` of a ``SAAD(listen=...)``
         deployment).  Requires the node to run with ``wire_format=True``
         — frames are the transport unit.  The previous ``frame_sink``
-        (if any) is replaced.
+        (if any) is replaced.  Connecting to this deployment's *own*
+        listener (``node.connect(saad.address)``) makes the frames the
+        one delivery into its collector: the object-path subscription
+        :meth:`SAAD.add_node` made is dropped, or every synopsis would
+        be received twice.  A node connected to a remote analyzer keeps
+        its local object path.
 
         The sender negotiates the credit/ack ingest protocol and tunes
         this node's ``flush_size`` adaptively from ack round-trips (the
@@ -147,6 +152,12 @@ class NodeRuntime:
             telemetry_interval_s=telemetry_interval_s,
         )
         self.stream.frame_sink = self._client
+        collector = self.saad.collector
+        own = self.saad.address
+        if own is not None and tuple(address) == tuple(own):
+            collector.detach_objects(stream)
+        else:  # a reconnect elsewhere gets the object path back
+            collector.attach(stream)
 
     def probe_health(self, timeout: Optional[float] = None) -> dict:
         """Ask the connected analyzer for its health report.
@@ -168,6 +179,7 @@ class NodeRuntime:
         self._client.close()
         self._client = None
         self.stream.frame_sink = None
+        self.saad.collector.attach(self.stream)
 
 
 class SAAD:
@@ -324,10 +336,16 @@ class SAAD:
         the collector's frame fan-out
         (:meth:`~repro.core.stream.SynopsisCollector.subscribe_frames`),
         so wire frames arriving over TCP (:meth:`listen`) or from local
-        wire-format nodes are classified straight from their bytes —
-        no per-synopsis object decode on the detection path.  The
-        caller owns the detector's lifecycle (``flush()`` at end of
-        stream); its anomalies accumulate on ``detector.anomalies``.
+        wire-format nodes whose ``frame_sink`` is the collector's
+        ``feed`` are classified straight from their bytes.  No
+        :class:`TaskSynopsis` is built on the way: the collector
+        validates each frame with a structural scan and retains the
+        frame itself (decoded only if :meth:`train` or another reader
+        of ``collector.synopses`` asks), and ``observe_batch`` picks
+        its per-record or vector route from the frame's record count
+        (DESIGN §13).  The caller owns the detector's lifecycle
+        (``flush()`` at end of stream); its anomalies accumulate on
+        ``detector.anomalies``.
         """
         detector = self.detector(lateness_s=lateness_s)
         self.collector.subscribe_frames(detector.observe_batch)

@@ -22,14 +22,24 @@ fields do not fit the wire format (a uid past 32 bits, a negative
 timestamp from clock skew) is *dropped from the wire* and counted
 (``stream_synopses_dropped``, ``codec_uid_range_errors``) instead of
 crashing the producing thread; in-memory subscribers still receive it.
+
+Frames stay bytes across the collector (DESIGN §13): a wire frame is
+validated structurally by the one record scanner
+(:func:`repro.core.columnar.scan_frames`), forwarded to frame
+subscribers as it arrived, and *retained as the frame*.
+:class:`TaskSynopsis` objects are built only for whoever asks for them
+— an object subscriber, a read of :attr:`SynopsisCollector.synopses`,
+or use of a :class:`LazySynopses` return value.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from collections.abc import Sequence
+from typing import Callable, Iterable, List, Optional, Union
 
 from repro.telemetry import MetricsRegistry
 
+from .columnar import scan_frames
 from .synopsis import (
     FRAME_HEADER,
     MAX_FRAME_SYNOPSES,
@@ -42,6 +52,60 @@ Subscriber = Callable[[TaskSynopsis], None]
 FrameSink = Callable[[bytes], None]
 
 DEFAULT_FLUSH_SIZE = 64
+
+
+def _materialize(parts: Iterable[Union[bytes, TaskSynopsis]]) -> List[TaskSynopsis]:
+    """Arrivals as objects: a ``bytes`` part is one whole validated frame."""
+    out: List[TaskSynopsis] = []
+    for part in parts:
+        if isinstance(part, bytes):
+            out.extend(decode_frame(part)[0])
+        else:
+            out.append(part)
+    return out
+
+
+class LazySynopses(Sequence):
+    """The synopses of some ingested frames, decoded on first use.
+
+    What :meth:`SynopsisCollector.receive_frame`, ``feed`` and ``flush``
+    return in place of a list: its length is known from the frame scan,
+    and anything that looks at an element (iteration, indexing,
+    comparison — it compares equal to the list it replaces) runs the
+    object decode once and keeps the result.  A caller that ignores the
+    value, as every transport does, never pays for the decode.
+    """
+
+    __slots__ = ("_parts", "_count", "_items")
+
+    def __init__(self, parts, count: int):
+        self._parts = parts
+        self._count = count
+        self._items: Optional[List[TaskSynopsis]] = None
+
+    def _list(self) -> List[TaskSynopsis]:
+        items = self._items
+        if items is None:
+            items = self._items = _materialize(self._parts)
+            self._parts = ()
+        return items
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LazySynopses):
+            other = other._list()
+        return self._list() == other
+
+    def __repr__(self) -> str:
+        return repr(self._list())
 
 
 class SynopsisStream:
@@ -83,9 +147,9 @@ class SynopsisStream:
         self.wire_format = wire_format
         self.retain = retain
         self.flush_size = flush_size
-        self.frame_sink = frame_sink
         self.synopses: List[TaskSynopsis] = []
         self.subscribers: List[Subscriber] = []
+        self.frame_sink = frame_sink
         self.registry = registry if registry is not None else MetricsRegistry()
         self._count = 0
         self._bytes_streamed = 0
@@ -152,6 +216,24 @@ class SynopsisStream:
         """Total bytes of flushed frames, headers included."""
         return self._frame_bytes
 
+    @property
+    def frame_sink(self) -> Optional[FrameSink]:
+        """The callable receiving each flushed frame's bytes (or None).
+
+        Pointing it at a collector's own inlet (``collector.feed`` /
+        ``collector.receive_frame``) drops that collector's object-path
+        subscription to this stream: the frames now carry every
+        synopsis there, and a second delivery would count each twice.
+        """
+        return self._frame_sink
+
+    @frame_sink.setter
+    def frame_sink(self, sink: Optional[FrameSink]) -> None:
+        self._frame_sink = sink
+        owner = getattr(sink, "__self__", None)
+        if isinstance(owner, SynopsisCollector):
+            owner.detach_objects(self)
+
     def sink(self, synopsis: TaskSynopsis) -> None:
         """The tracker's sink callable: account, buffer, fan out."""
         self._count += 1
@@ -191,8 +273,9 @@ class SynopsisStream:
         self._pending.clear()
         self._frames_flushed += 1
         self._frame_bytes += len(frame)
-        if self.frame_sink is not None:
-            self.frame_sink(frame)
+        frame_sink = self._frame_sink
+        if frame_sink is not None:
+            frame_sink(frame)
         return frame
 
     @property
@@ -213,6 +296,14 @@ class SynopsisStream:
 class SynopsisCollector:
     """Central analyzer inlet merging streams from every node.
 
+    Wire frames cross it as bytes: :meth:`receive_frame` validates a
+    frame with the shared record scanner (rejecting exactly what
+    :func:`~repro.core.synopsis.decode_frame` rejects), hands the bytes
+    to the frame subscribers, and retains *the frame* — about 40 bytes
+    per task instead of a ~350-byte object.  Objects are decoded only
+    on demand: for an object subscriber, on a read of :attr:`synopses`
+    / :meth:`drain`, or when a returned :class:`LazySynopses` is used.
+
     Parameters
     ----------
     retain:
@@ -224,7 +315,11 @@ class SynopsisCollector:
 
     def __init__(self, retain: bool = True, registry=None):
         self.retain = retain
-        self.synopses: List[TaskSynopsis] = []
+        # Arrival order: TaskSynopsis objects (object path) and whole
+        # frames as bytes (frame path); entries before _decoded are all
+        # objects already.
+        self._retained: List[Union[bytes, TaskSynopsis]] = []
+        self._decoded = 0
         self.subscribers: List[Subscriber] = []
         self.frame_subscribers: List[FrameSink] = []
         self.streams: List[SynopsisStream] = []
@@ -278,6 +373,24 @@ class SynopsisCollector:
         """Bytes of an incomplete frame buffered by :meth:`feed`."""
         return len(self._buffer)
 
+    @property
+    def synopses(self) -> List[TaskSynopsis]:
+        """Every retained synopsis, in arrival order (the live list).
+
+        Frames retained as bytes since the last read are decoded here,
+        in place, so the cost of building objects falls on whoever
+        wants objects (``SAAD.train()``, an experiment) and never on
+        the ingest path.  Only the undecoded tail is touched, and
+        arrivals racing the read are left for the next one.
+        """
+        retained = self._retained
+        start, stop = self._decoded, len(retained)
+        if start < stop:
+            decoded = _materialize(retained[start:stop])
+            retained[start:stop] = decoded
+            self._decoded = start + len(decoded)
+        return retained
+
     def attach(self, stream: SynopsisStream) -> None:
         """Subscribe this collector to a node stream.
 
@@ -289,45 +402,73 @@ class SynopsisCollector:
         collector (:meth:`feed` / :meth:`receive_frame`) is *not*
         subscribed on the object path as well: every synopsis would
         otherwise be counted twice, once live and once per frame.
+        (Assigning such a ``frame_sink`` later drops the subscription
+        then — see :attr:`SynopsisStream.frame_sink`.)
+
+        Attaching is idempotent, and also restores a subscription
+        :meth:`detach_objects` dropped once the stream's frames go
+        elsewhere again.
         """
         sink = getattr(stream, "frame_sink", None)
-        if getattr(sink, "__self__", None) is not self:
+        if (
+            getattr(sink, "__self__", None) is not self
+            and self._receive not in stream.subscribers
+        ):
             stream.subscribe(self._receive)
-        self.streams.append(stream)
+        if stream not in self.streams:
+            self.streams.append(stream)
+
+    def detach_objects(self, stream: SynopsisStream) -> None:
+        """Drop the object-path subscription to ``stream``, if any.
+
+        For a stream whose frames arrive here (its ``frame_sink`` is
+        this collector's inlet, or a TCP sender connected to the server
+        feeding it).  The stream stays attached for :meth:`flush`.
+        """
+        if self._receive in stream.subscribers:
+            stream.subscribers.remove(self._receive)
 
     def _receive(self, synopsis: TaskSynopsis) -> None:
         self._count += 1
         self._bytes_received += synopsis.encoded_size()
         if self.retain:
-            self.synopses.append(synopsis)
+            self._retained.append(synopsis)
         for subscriber in self.subscribers:
             subscriber(synopsis)
 
-    def receive_frame(self, frame: bytes) -> List[TaskSynopsis]:
+    def receive_frame(self, frame: bytes) -> LazySynopses:
         """Ingest one wire frame (the transport-side counterpart of
-        :meth:`SynopsisStream.flush_wire`); returns the decoded batch.
+        :meth:`SynopsisStream.flush_wire`); returns its synopses,
+        lazily (:class:`LazySynopses`).
 
-        Frame subscribers (:meth:`subscribe_frames`) run *before* the
-        per-synopsis decode fan-out, receiving the raw frame bytes —
-        the hook the columnar detect path hangs off (a decode error
-        raises before any subscriber sees a bad frame, because
-        ``decode_frame`` validates first)."""
-        synopses, consumed = decode_frame(frame, 0)
-        if consumed != len(frame):
-            raise ValueError(f"trailing bytes after frame ({len(frame) - consumed})")
+        The frame is validated by a strict scan
+        (:func:`~repro.core.columnar.scan_frames`), which raises what
+        ``decode_frame`` would — same ``ValueError`` messages, trailing
+        bytes included — before any subscriber sees a bad frame.  Frame
+        subscribers (:meth:`subscribe_frames`) then receive the raw
+        bytes — the hook the columnar detect path hangs off — and only
+        an object subscriber makes the frame decode."""
+        if not isinstance(frame, bytes):
+            frame = bytes(frame)
+        offsets, end, error = scan_frames(frame, 0, strict=True)
+        if error is not None:
+            raise ValueError(error)
+        if end != len(frame):
+            raise ValueError(f"trailing bytes after frame ({len(frame) - end})")
         self._frames_received += 1
-        self._count += len(synopses)
+        self._count += len(offsets)
         self._bytes_received += len(frame)
         for frame_subscriber in self.frame_subscribers:
             frame_subscriber(frame)
         if self.retain:
-            self.synopses.extend(synopses)
+            self._retained.append(frame)
+        synopses = LazySynopses((frame,), len(offsets))
         for subscriber in self.subscribers:
             for synopsis in synopses:
                 subscriber(synopsis)
         return synopses
 
-    def feed(self, chunk: bytes) -> List[TaskSynopsis]:
+    def feed(self, chunk: bytes) -> LazySynopses:
         """Ingest an arbitrary byte chunk of the framed wire stream.
 
         The transport-agnostic inlet: unlike :meth:`receive_frame`, the
@@ -335,25 +476,29 @@ class SynopsisCollector:
         across calls (exactly what a socket read produces).  Complete
         frames are ingested immediately; a trailing partial frame waits
         in the reassembly buffer (``collector_pending_bytes``) for the
-        next chunk.  Returns the synopses decoded from this chunk.
+        next chunk.  Returns the synopses of the frames this chunk
+        completed (a :class:`LazySynopses`).
         """
         self._buffer.extend(chunk)
         header_size = FRAME_HEADER.size
         buffer = self._buffer
-        out: List[TaskSynopsis] = []
+        frames: List[bytes] = []
+        count = 0
         offset = 0
         while len(buffer) - offset >= header_size:
             length, _ = FRAME_HEADER.unpack_from(buffer, offset)
             stop = offset + header_size + length
             if len(buffer) < stop:
                 break
-            out.extend(self.receive_frame(bytes(buffer[offset:stop])))
+            frame = bytes(buffer[offset:stop])
+            count += len(self.receive_frame(frame))
+            frames.append(frame)
             offset = stop
         if offset:
             del buffer[:offset]
-        return out
+        return LazySynopses(frames, count)
 
-    def flush(self) -> List[TaskSynopsis]:
+    def flush(self) -> Sequence:
         """Drain every attached stream's pending wire batch, in order.
 
         Shutdown ordering matters: the *streams* flush first (their
@@ -363,9 +508,11 @@ class SynopsisCollector:
         non-empty buffer at that point is a truncated frame whose tail
         can no longer arrive, so ``ValueError`` is raised instead of
         silently dropping the last batch.  Returns the synopses that
-        arrived through :meth:`feed` during the flush.
+        arrived through :meth:`feed` during the flush — lazily, so a
+        shutdown that ignores them does not decode the retained trace.
         """
         before = self._count
+        mark = len(self._retained)
         for stream in self.streams:
             if stream.wire_format:
                 stream.flush_wire()
@@ -376,7 +523,7 @@ class SynopsisCollector:
             )
         received = self._count - before
         if received and self.retain:
-            return list(self.synopses[-received:])
+            return LazySynopses(self._retained[mark:], received)
         return []
 
     def close(self) -> None:
@@ -408,6 +555,7 @@ class SynopsisCollector:
         self.frame_subscribers.append(sink)
 
     def drain(self) -> List[TaskSynopsis]:
-        """Return and clear retained synopses."""
-        drained, self.synopses = self.synopses, []
+        """Return and clear retained synopses (retained frames decoded)."""
+        drained = self.synopses
+        self._retained, self._decoded = [], 0
         return drained

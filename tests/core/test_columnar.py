@@ -6,6 +6,14 @@ The contract under test (DESIGN §13): ``observe_batch`` must produce
 exemplar pins when tracing is on, error messages and partial state on
 truncated frames, and all the fallback ladders (no numpy, tracing,
 guard-tripped chunks).
+
+``observe_batch`` has two exact routes past the frame scan — the
+per-record loop for batches under ``_VECTOR_MIN_RECORDS`` records, the
+vector kernel from there up — and picks by record count.  The
+equivalence, error and fallback classes run once per route (the
+``route`` fixture pins the choice), so the small streams here keep
+exercising the vector kernel; ``TestRouteChoice`` covers the choice
+itself.
 """
 
 import random
@@ -21,9 +29,18 @@ from repro.core import (
 )
 from repro.core.columnar import NO_CUT, exact_duration_cut
 from repro.core import columnar
+from repro.core import detector as detector_module
 from repro.core.synopsis import FRAME_HEADER, encode_frame
 
 pytestmark = pytest.mark.columnar
+
+
+@pytest.fixture(params=["vector", "records"])
+def route(request, monkeypatch):
+    """Pin ``observe_batch`` to one of its two exact routes."""
+    floor = 1 if request.param == "vector" else 1 << 62
+    monkeypatch.setattr(detector_module, "_VECTOR_MIN_RECORDS", floor)
+    return request.param
 
 
 def synopsis(stage=1, host=0, uid=0, start=0.0, duration=0.01, lps=(1, 2, 4, 5)):
@@ -117,6 +134,7 @@ def assert_equivalent(scalar, batch):
     assert b_det.windows_closed == s_det.windows_closed
 
 
+@pytest.mark.usefixtures("route")
 class TestBatchEquivalence:
     def test_identical_ordered_events_on_faulted_stream(self, model):
         stream = make_stream()
@@ -184,6 +202,7 @@ class TestBatchEquivalence:
         assert batches.value == 1
 
 
+@pytest.mark.usefixtures("route")
 class TestBatchErrors:
     """Truncation errors must match the scalar path, message and state."""
 
@@ -230,6 +249,7 @@ class TestBatchErrors:
         assert b_det.anomalies == s_det.anomalies
 
 
+@pytest.mark.usefixtures("route")
 class TestFallbacks:
     def test_no_numpy_whole_batch_fallback(self, model, monkeypatch):
         monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
@@ -327,6 +347,7 @@ class TestCompiledModel:
         # The id space survives recompiles: ids stay valid.
         assert second.space is first.space
 
+    @pytest.mark.usefixtures("route")
     def test_retrained_detection_still_matches_scalar(self, model):
         # After the cache invalidation above, batch results must still
         # track the (new) model exactly.
@@ -334,3 +355,109 @@ class TestCompiledModel:
         scalar = scalar_run(model, stream)
         batch = batch_run(model, frames_of(stream))
         assert_equivalent(scalar, batch)
+
+
+def frame_run(model, frames, **kwargs):
+    """The fused scalar wire path, one ``observe_frame`` per frame."""
+    detector = AnomalyDetector(model, **kwargs)
+    mid = [e for frame in frames for e in detector.observe_frame(frame)]
+    tail = detector.flush()
+    return detector, mid, tail
+
+
+def counters(detector):
+    """Every count the two ingest paths must agree on."""
+    registry = detector.registry
+    return {
+        "tasks_seen": detector.tasks_seen,
+        "windows_closed": detector.windows_closed,
+        "watermark": detector.watermark,
+        "windows_opened": registry.get("detector_windows_opened").value,
+        "new_signatures": registry.get("detector_new_signatures").value,
+        "anomalies": [
+            sample["value"]
+            for family in registry.collect()
+            if family["name"] == "detector_anomalies"
+            for sample in family["samples"]
+        ],
+    }
+
+
+class TestRouteChoice:
+    """The per-batch choice between the record loop and the vector kernel."""
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """Record which route each scanned batch took, and its size."""
+        calls = []
+        records = AnomalyDetector._observe_records
+        chunk = AnomalyDetector._ingest_chunk
+
+        def spy_records(self, data, offsets):
+            calls.append(("records", len(offsets)))
+            return records(self, data, offsets)
+
+        def spy_chunk(self, np, b, data, offs, compiled, events):
+            calls.append(("vector", len(offs)))
+            return chunk(self, np, b, data, offs, compiled, events)
+
+        monkeypatch.setattr(AnomalyDetector, "_observe_records", spy_records)
+        monkeypatch.setattr(AnomalyDetector, "_ingest_chunk", spy_chunk)
+        return calls
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_equal_to_observe_frame_around_the_crossover(self, model, taken, delta):
+        crossover = detector_module._VECTOR_MIN_RECORDS
+        n = crossover + delta
+        stream = make_stream(tasks=n)
+        frame = encode_frame(stream)
+        scalar = frame_run(model, [frame])
+        assert scalar[0].anomalies, "workload must trip the detector"
+        batch = batch_run(model, frame)
+        assert taken == [("records" if n < crossover else "vector", n)]
+        assert_equivalent(scalar, batch)
+        assert counters(batch[0]) == counters(scalar[0])
+        assert batch[0]._columnar_tasks == n
+        assert batch[0]._columnar_fallback_tasks == 0
+
+    def test_multi_frame_buffer_straddling_the_crossover(self, model, taken):
+        # Each frame is under the crossover, the buffer is over it: the
+        # choice is per scanned batch, so one call takes the kernel and
+        # frame-by-frame calls take the loop — same events either way.
+        crossover = detector_module._VECTOR_MIN_RECORDS
+        per_frame = crossover // 2 + 1
+        stream = make_stream(tasks=2 * per_frame)
+        frames = [encode_frame(stream[:per_frame]), encode_frame(stream[per_frame:])]
+        scalar = frame_run(model, frames)
+        whole = batch_run(model, b"".join(frames))
+        assert taken == [("vector", 2 * per_frame)]
+        del taken[:]
+        detector = AnomalyDetector(model)
+        mid = [e for frame in frames for e in detector.observe_batch(frame)]
+        split = (detector, mid, detector.flush())
+        assert taken == [("records", per_frame)] * 2
+        for batch in (whole, split):
+            assert_equivalent(scalar, batch)
+            assert counters(batch[0]) == counters(scalar[0])
+            assert batch[0]._columnar_tasks == 2 * per_frame
+            assert batch[0]._columnar_fallback_tasks == 0
+
+    def test_small_route_is_not_a_fallback_but_a_tripped_guard_is(self, model, monkeypatch):
+        stream = make_stream(tasks=200)
+        small, _, _ = batch_run(model, encode_frame(stream))
+        assert small.registry.get("columnar_fallback_tasks").value == 0
+        assert small.registry.get("columnar_tasks").value == 200
+        # Force the kernel, then trip its window-span guard: the chunk
+        # degrades to the same record loop, and that *is* counted.
+        monkeypatch.setattr(detector_module, "_VECTOR_MIN_RECORDS", 1)
+        monkeypatch.setattr(columnar, "window_boundaries", lambda *a, **k: None)
+        tripped = batch_run(model, encode_frame(stream))
+        assert tripped[0].registry.get("columnar_fallback_tasks").value == 200
+        assert_equivalent(scalar_run(model, stream), tripped)
+
+    def test_default_frame_size_takes_the_record_loop(self, model, taken):
+        from repro.core.stream import DEFAULT_FLUSH_SIZE
+
+        assert DEFAULT_FLUSH_SIZE < detector_module._VECTOR_MIN_RECORDS
+        batch_run(model, encode_frame(make_stream(tasks=DEFAULT_FLUSH_SIZE)))
+        assert taken == [("records", DEFAULT_FLUSH_SIZE)]
