@@ -30,16 +30,13 @@ the generation and consumers recompile (the invalidation-on-retrain
 contract, DESIGN §13).  The same tables back ``python -m repro rules``
 (:mod:`repro.core.rules`), which renders them as readable per-stage
 rule text.
-
-numpy is a declared dependency and drives the vectorized batch path;
-every consumer still degrades to the exact scalar path when it is
-missing (``HAVE_NUMPY``), so the module imports lazily and never hard-
-fails.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as _np
 
 from repro.telemetry import NULL_REGISTRY
 
@@ -47,15 +44,6 @@ from .features import StageKey
 from .interning import SignatureIdSpace
 from .model import _LABEL_NEW_SIGNATURE, OutlierModel, TaskLabel
 from .synopsis import FRAME_HEADER, SYNOPSIS_HEADER
-
-try:  # pragma: no cover - exercised via HAVE_NUMPY in both states
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-#: True when the vectorized decode path is available; the detector falls
-#: back to the exact per-task path otherwise.
-HAVE_NUMPY = _np is not None
 
 #: Verdict flag bits in :attr:`CompiledStage.flags` (0 == novel).
 KNOWN = 1
@@ -74,6 +62,17 @@ SIG_BITS = 17
 _HEADER_SIZE = SYNOPSIS_HEADER.size
 _FRAME_HEADER_SIZE = FRAME_HEADER.size
 _ENTRY_SIZE = 6
+
+#: Byte offset and width of each ``SYNOPSIS_HEADER`` (``<BBIQiB``) field
+#: inside a record; ``duration_us`` is the one signed field.
+_HEADER_FIELDS = {
+    "host_id": (0, 1),
+    "stage_id": (1, 1),
+    "uid": (2, 4),
+    "ts_ms": (6, 8),
+    "duration_us": (14, 4),
+    "n_entries": (18, 1),
+}
 
 
 def exact_duration_cut(threshold: float) -> int:
@@ -268,7 +267,7 @@ def compile_model(
 
 
 def scan_frames(
-    data, offset: int = 0, strict: bool = False
+    data, offset: int = 0, strict: bool = False, one_frame: bool = False
 ) -> Tuple[List[int], int, Optional[str]]:
     """Walk concatenated wire frames; collect each synopsis's offset.
 
@@ -279,19 +278,21 @@ def scan_frames(
     the scalar path would have ingested before raising — the batch path
     relies on this for error-for-error equivalence.
 
-    ``strict=True`` is :func:`repro.core.synopsis.decode_frame`'s
-    contract instead of the detect path's: exactly one frame is scanned
-    (``end_offset`` is where it ended, so the caller can tell trailing
-    bytes), and a negative wire duration is an error too — the one
-    field check building a :class:`~repro.core.synopsis.TaskSynopsis`
-    makes that classifying straight from the bytes does not.  The
-    collector validates frames with it and never decodes them.
+    ``one_frame=True`` scans exactly one frame (an empty buffer is a
+    truncated header); ``end_offset`` is where it ended, so the caller
+    can tell trailing bytes.  ``strict=True`` is
+    :func:`repro.core.synopsis.decode_frame`'s contract: one frame, and
+    a negative wire duration is an error too — the one field check
+    building a :class:`~repro.core.synopsis.TaskSynopsis` makes that
+    classifying straight from the bytes does not.  The collector
+    validates frames with it and never decodes them.
     """
+    one_frame = one_frame or strict
     offsets: List[int] = []
     unpack_frame = FRAME_HEADER.unpack_from
     end = offset
     total = len(data)
-    while strict or offset < total:
+    while one_frame or offset < total:
         if total - offset < _FRAME_HEADER_SIZE:
             return offsets, end, "truncated frame header"
         length, count = unpack_frame(data, offset)
@@ -326,16 +327,24 @@ def scan_frames(
         if error is not None:
             return offsets, end, error
         offset = end = frame_end
-        if strict:
+        if one_frame:
             break
     return offsets, end, None
 
 
-def _gather_u64(b, offs, at: int, nbytes: int):
-    """Little-endian integer field at ``offs + at`` as an int64 column."""
+def header_column(b, offs, name: str):
+    """One ``SYNOPSIS_HEADER`` field of the records at ``offs``, as int64.
+
+    ``b`` is the buffer as a uint8 array, ``offs`` the record offsets
+    (:func:`scan_frames`) as an int64 array, ``name`` one of ``host_id``,
+    ``stage_id``, ``uid``, ``ts_ms``, ``duration_us``, ``n_entries``.
+    """
+    at, nbytes = _HEADER_FIELDS[name]
     value = b[offs + at].astype(_np.int64)
     for i in range(1, nbytes):
         value |= b[offs + at + i].astype(_np.int64) << (8 * i)
+    if name == "duration_us":
+        value = value.astype(_np.uint32).view(_np.int32).astype(_np.int64)
     return value
 
 
@@ -379,11 +388,10 @@ def resolve_sig_ids(b, offs, counts, space: SignatureIdSpace):
 class FrameColumns:
     """Decoded frames as parallel columns (the columnar exchange format).
 
-    Attributes are numpy ``int64`` arrays (plain Python lists without
-    numpy), one element per synopsis in scan order: ``host_id``,
-    ``stage_id``, ``sig_id`` (dense ids in ``space``), ``duration_us``,
-    ``ts_ms``, and ``uid``.  No per-task objects are constructed;
-    :meth:`signature` recovers the shared
+    Attributes are numpy ``int64`` arrays, one element per synopsis in
+    scan order: ``host_id``, ``stage_id``, ``sig_id`` (dense ids in
+    ``space``), ``duration_us``, ``ts_ms``, and ``uid``.  No per-task
+    objects are constructed; :meth:`signature` recovers the shared
     :class:`~repro.core.interning.InternedSignature` behind an id.
     """
 
@@ -413,48 +421,20 @@ def decode_columns(
     """Explode concatenated wire frames into a :class:`FrameColumns`.
 
     Raises ``ValueError`` with the scalar decoder's message on
-    malformed input.  Requires numpy for the vectorized gathers; when
-    unavailable, falls back to an exact per-record loop (same columns,
-    Python lists).  Mostly a debugging/analysis surface — the detector
+    malformed input.  Mostly a debugging/analysis surface — the detector
     fuses this decode with counting and never materializes all columns.
     """
     space = space if space is not None else SignatureIdSpace()
     offsets, _, error = scan_frames(data, offset)
     if error is not None:
         raise ValueError(error)
-    if not HAVE_NUMPY:
-        host, stage, sig, dur, ts, uid = [], [], [], [], [], []
-        unpack = SYNOPSIS_HEADER.unpack_from
-        for record in offsets:
-            host_id, stage_id, uid_v, ts_ms, duration_us, n = unpack(data, record)
-            entries = bytes(data[record + _HEADER_SIZE : record + _HEADER_SIZE + 6 * n])
-            host.append(host_id)
-            stage.append(stage_id)
-            sig.append(space.resolve_entry(entries))
-            dur.append(duration_us)
-            ts.append(ts_ms)
-            uid.append(uid_v)
-        return FrameColumns(host, stage, sig, dur, ts, uid, space)
     b = _np.frombuffer(bytes(data), dtype=_np.uint8)
     offs = _np.asarray(offsets, dtype=_np.int64)
-    counts = b[offs + 18].astype(_np.int64) if len(offs) else _np.empty(0, _np.int64)
-    sig_ids = resolve_sig_ids(b, offs + _HEADER_SIZE, counts, space)
+    column = {name: header_column(b, offs, name) for name in _HEADER_FIELDS}
+    sig_ids = resolve_sig_ids(b, offs + _HEADER_SIZE, column.pop("n_entries"), space)
     if sig_ids is None:
         raise ValueError("signature id space exhausted while decoding columns")
-    duration = (
-        _gather_u64(b, offs, 14, 4).astype(_np.uint32).view(_np.int32).astype(_np.int64)
-        if len(offs)
-        else _np.empty(0, _np.int64)
-    )
-    return FrameColumns(
-        host_id=b[offs].astype(_np.int64),
-        stage_id=b[offs + 1].astype(_np.int64),
-        sig_id=sig_ids,
-        duration_us=duration,
-        ts_ms=_gather_u64(b, offs, 6, 8),
-        uid=_gather_u64(b, offs, 2, 4),
-        space=space,
-    )
+    return FrameColumns(sig_id=sig_ids, space=space, **column)
 
 
 def window_boundaries(
@@ -504,7 +484,6 @@ __all__ = [
     "CompiledStage",
     "FLOW_OUTLIER",
     "FrameColumns",
-    "HAVE_NUMPY",
     "KNOWN",
     "NO_CUT",
     "PERF_ELIGIBLE",
@@ -512,6 +491,7 @@ __all__ = [
     "compile_model",
     "decode_columns",
     "exact_duration_cut",
+    "header_column",
     "resolve_sig_ids",
     "scan_frames",
     "window_boundaries",

@@ -29,16 +29,10 @@ from repro.telemetry import MetricsRegistry
 from . import columnar
 from .config import SAADConfig
 from .features import FeatureVector, Signature, StageKey
-from .interning import SignatureIdSpace, canonical_tuple, intern_signature
+from .interning import SignatureIdSpace, canonical_tuple, signature_of_entries
 from .model import OutlierModel
 from .stats import ProportionTest, proportion_exceeds_test
-from .synopsis import (
-    FRAME_HEADER,
-    SYNOPSIS_HEADER,
-    SYNOPSIS_ENTRY,
-    TaskSynopsis,
-    entry_struct,
-)
+from .synopsis import SYNOPSIS_ENTRY, SYNOPSIS_HEADER, TaskSynopsis
 
 FLOW = "flow"
 PERFORMANCE = "performance"
@@ -55,9 +49,8 @@ _BATCH_CHUNK = 1 << 16
 #: Scanned batches with fewer records than this take the per-record
 #: loop; at or above it, the vector kernel.  Both are exact; the choice
 #: is by cost alone.  The kernel pays a fixed ~300 us of numpy call
-#: overhead per batch, the loop ~1.8 us per record: DESIGN §13's table
-#: (ns/task, loop vs kernel: 64 -> 1817 vs 5346, 512 -> 1905 vs 1917,
-#: 4096 -> 1882 vs 1075) puts the crossover at 512.
+#: overhead per batch, the loop ~1.8 us per record: the measured table
+#: in DESIGN §13 puts the crossover at 512.
 _VECTOR_MIN_RECORDS = 512
 
 #: Window-close triggers tolerated per chunk before the remainder of the
@@ -76,18 +69,15 @@ _BATCH_TS_LIMIT = 1 << 53
 _BATCH_INDEX_LIMIT = 1 << 28
 
 
-class _WireTask:
-    """Minimal task handle the wire ingest path hands to exemplar tracking.
-
-    Only the ``(host_id, uid)`` trace key is needed there, so the fused
-    loop avoids building a full :class:`TaskSynopsis` when tracing is on.
-    """
-
-    __slots__ = ("host_id", "uid")
-
-    def __init__(self, host_id: int, uid: int):
-        self.host_id = host_id
-        self.uid = uid
+def _wire_bytes(frames) -> bytes:
+    """Wire input as ``bytes``: ``bytes`` as is, ``bytearray`` or
+    ``memoryview`` copied (so the signature cache's keys are hashable and
+    never pin the caller's buffer), an iterable of chunks joined."""
+    if isinstance(frames, bytes):
+        return frames
+    if isinstance(frames, (bytearray, memoryview)):
+        return bytes(frames)
+    return b"".join(bytes(chunk) for chunk in frames)
 
 
 @dataclass(frozen=True)
@@ -323,7 +313,7 @@ class AnomalyDetector:
             synopsis.signature,
             synopsis.duration,
             synopsis.start_time,
-            synopsis if self._tracing else None,
+            (synopsis.host_id, synopsis.uid) if self._tracing else None,
         )
 
     def observe_feature(self, feature: FeatureVector) -> List[AnomalyEvent]:
@@ -337,7 +327,7 @@ class AnomalyDetector:
             feature.signature,
             feature.duration,
             feature.start_time,
-            feature if self._tracing else None,
+            (feature.host_id, feature.uid) if self._tracing else None,
         )
 
     def _observe(
@@ -346,23 +336,16 @@ class AnomalyDetector:
         signature: Signature,
         duration: float,
         start_time: float,
-        task=None,
+        trace_key: Optional[Tuple[int, int]] = None,
     ) -> List[AnomalyEvent]:
+        """Classify one task into its window bucket; ``trace_key`` is its
+        ``(host_id, uid)`` when tracing is on, else None."""
         self._tasks_seen += 1
         label = self.model.classify_parts(stage_key, signature, duration)
         index = int(start_time // self.config.window_s)
-        bucket_key = (stage_key, index)
-        bucket = self._buckets.get(bucket_key)
+        bucket = self._buckets.get((stage_key, index))
         if bucket is None:
-            bucket = self._buckets[bucket_key] = _WindowBucket()
-            keys = self._index_keys.get(index)
-            if keys is None:
-                self._index_keys[index] = [stage_key]
-                heapq.heappush(self._index_heap, index)
-            else:
-                keys.append(stage_key)
-            self._m_windows_opened.inc()
-            self._m_windows_open.inc()
+            bucket = self._open_bucket(stage_key, index)
         bucket.n += 1
         if label.any_flow:
             bucket.flow_outliers += 1
@@ -375,92 +358,53 @@ class AnomalyDetector:
             counts[1] += 1
             if label.perf_outlier:
                 counts[0] += 1
-        if task is not None:
-            # Exemplar candidates.  The (host_id, uid) trace key is built
-            # only on admission — candidate turnover is O(K log n) over a
-            # window, so the steady-state cost is two comparisons.
+        if trace_key is not None:
+            # Exemplar candidates.  Candidate turnover is O(K log n) over
+            # a window, so the steady-state cost is two comparisons.
             k = self.exemplars_per_window
             if label.new_signature and len(bucket.new_sig_keys) < k:
-                bucket.new_sig_keys.append((task.host_id, task.uid))
+                bucket.new_sig_keys.append(trace_key)
             slow = bucket.slow
             if len(slow) < k:
-                heapq.heappush(slow, (duration, (task.host_id, task.uid)))
+                heapq.heappush(slow, (duration, trace_key))
             elif slow and duration > slow[0][0]:
-                heapq.heapreplace(slow, (duration, (task.host_id, task.uid)))
+                heapq.heapreplace(slow, (duration, trace_key))
         if start_time > self._watermark:
             self._watermark = start_time
         return self._close_ripe_windows()
 
-    def observe_frame(self, frame: bytes, offset: int = 0) -> List[AnomalyEvent]:
+    def _open_bucket(self, stage_key: StageKey, index: int) -> _WindowBucket:
+        """Open the (stage key, window index) bucket; call only on a miss."""
+        bucket = self._buckets[(stage_key, index)] = _WindowBucket()
+        keys = self._index_keys.get(index)
+        if keys is None:
+            self._index_keys[index] = [stage_key]
+            heapq.heappush(self._index_heap, index)
+        else:
+            keys.append(stage_key)
+        self._m_windows_opened.inc()
+        self._m_windows_open.inc()
+        return bucket
+
+    def observe_frame(self, frame, offset: int = 0) -> List[AnomalyEvent]:
         """Ingest one length-prefixed wire frame straight from its bytes.
 
-        The fused fast path behind sharded workers: each synopsis is
-        classified directly from the packed layout — header fields via
-        one ``unpack_from``, the signature via a cache keyed on the raw
-        log-point entry bytes — without materializing a
-        :class:`TaskSynopsis`.  Semantically identical to decoding the
-        frame and calling :meth:`observe` per synopsis (the cache maps
-        every distinct entry byte pattern to the same interned signature
-        the decode path would produce).
+        ``frame`` is ``bytes``, ``bytearray`` or ``memoryview``; bytes
+        past the frame's end are ignored.  Each synopsis is classified
+        from the packed layout without materializing a
+        :class:`TaskSynopsis` — semantically identical to decoding the
+        frame and calling :meth:`observe` per synopsis.
 
         Returns anomalies from any windows the frame's tasks closed.
-        Raises ``ValueError`` on a truncated or inconsistent frame,
-        mirroring :func:`repro.core.synopsis.decode_frame`.
+        Raises ``ValueError`` on a truncated or inconsistent frame with
+        :func:`repro.core.synopsis.decode_frame`'s message, after
+        ingesting the complete records before the fault.
         """
-        if len(frame) - offset < FRAME_HEADER.size:
-            raise ValueError("truncated frame header")
-        length, count = FRAME_HEADER.unpack_from(frame, offset)
-        start = offset + FRAME_HEADER.size
-        end = start + length
-        if len(frame) < end:
-            raise ValueError("truncated frame payload")
-        return self._observe_payload(frame, start, end, count)
-
-    def _observe_payload(
-        self, payload: bytes, offset: int, end: int, expected: int
-    ) -> List[AnomalyEvent]:
-        events: List[AnomalyEvent] = []
-        unpack_header = SYNOPSIS_HEADER.unpack_from
-        header_size = SYNOPSIS_HEADER.size
-        entry_size = SYNOPSIS_ENTRY.size
-        cache = self._wire_signatures
-        per_host = self.model.config.per_host
-        tracing = self._tracing
-        observe = self._observe
-        seen = 0
-        while offset < end:
-            if end - offset < header_size:
-                raise ValueError("truncated synopsis header")
-            host_id, stage_id, uid, ts_ms, duration_us, n = unpack_header(
-                payload, offset
-            )
-            offset += header_size
-            entries_end = offset + entry_size * n
-            if entries_end > end:
-                raise ValueError("truncated synopsis log point entries")
-            entry_bytes = payload[offset:entries_end]
-            signature = cache.get(entry_bytes)
-            if signature is None:
-                flat = entry_struct(n).unpack_from(payload, offset) if n else ()
-                if len(cache) >= _WIRE_SIGNATURE_CACHE_MAX:
-                    cache.clear()
-                signature = cache[entry_bytes] = intern_signature(flat[0::2])
-            offset = entries_end
-            emitted = observe(
-                (host_id, stage_id) if per_host else (0, stage_id),
-                signature,
-                duration_us / 1_000_000.0,
-                ts_ms / 1000.0,
-                _WireTask(host_id, uid) if tracing else None,
-            )
-            if emitted:
-                events.extend(emitted)
-            seen += 1
-        if seen != expected:
-            raise ValueError(
-                f"frame count mismatch: header says {expected}, payload "
-                f"holds {seen}"
-            )
+        data = _wire_bytes(frame)
+        offsets, _, error = columnar.scan_frames(data, offset, one_frame=True)
+        events = self._observe_records(data, offsets)
+        if error is not None:
+            raise ValueError(error)
         return events
 
     # -- columnar batch ingestion (DESIGN §13) -------------------------------
@@ -506,67 +450,38 @@ class AnomalyDetector:
         deployed default: one 64-synopsis frame per call) runs the same
         records through the exact per-record loop instead; the choice is
         made from the scanned record count alone and is not a fallback.
-
-        Equivalence is preserved under degradation: when tracing is on,
-        numpy is unavailable, or a chunk trips an exactness guard
-        (timestamp/window-index range, signature-id exhaustion,
-        pathological close rates), the affected records flow through the
-        exact per-task path instead (``columnar_fallback_tasks``).
+        The loop is also the fallback (``columnar_fallback_tasks``) when
+        tracing is on — exemplar candidates need per-task trace keys —
+        and for a chunk that trips an exactness guard (timestamp or
+        window-index range, signature-id exhaustion, close storms).
 
         Returns the anomalies from every window the batch closed, in
         close order.
         """
-        if isinstance(frames, (bytes, bytearray, memoryview)):
-            data = frames if isinstance(frames, bytes) else bytes(frames)
-        else:
-            data = b"".join(bytes(chunk) for chunk in frames)
+        data = _wire_bytes(frames)
         self._m_columnar_batches.inc()
         before = self._tasks_seen
+        offsets, _, error = columnar.scan_frames(data, offset)
         try:
-            if self._tracing or not columnar.HAVE_NUMPY:
-                return self._observe_batch_scalar(data, offset)
-            return self._observe_scanned(data, offset)
+            if self._tracing:
+                events = self._degrade_records(data, offsets)
+            elif len(offsets) < _VECTOR_MIN_RECORDS:
+                events = self._observe_records(data, offsets)
+            else:
+                events = []
+                np = columnar._np
+                compiled = self.compiled_model()
+                b = np.frombuffer(data, dtype=np.uint8)
+                offs_all = np.asarray(offsets, dtype=np.int64)
+                for lo in range(0, len(offs_all), _BATCH_CHUNK):
+                    self._ingest_chunk(
+                        np, b, data, offs_all[lo : lo + _BATCH_CHUNK], compiled, events
+                    )
         finally:
             self._columnar_tasks += self._tasks_seen - before
-
-    def _observe_batch_scalar(self, data: bytes, offset: int) -> List[AnomalyEvent]:
-        """Whole-batch fallback: frame-by-frame through the scalar path.
-
-        Used when tracing is enabled (exemplar candidates need per-task
-        trace keys) or numpy is missing; exact by construction.
-        """
-        events: List[AnomalyEvent] = []
-        before = self._tasks_seen
-        total = len(data)
-        try:
-            while offset < total:
-                emitted = self.observe_frame(data, offset)
-                if emitted:
-                    events.extend(emitted)
-                length, _ = FRAME_HEADER.unpack_from(data, offset)
-                offset += FRAME_HEADER.size + length
-        finally:
-            self._columnar_fallback_tasks += self._tasks_seen - before
-        return events
-
-    def _observe_scanned(self, data: bytes, offset: int) -> List[AnomalyEvent]:
-        """Scan once, then the cheaper exact route for the record count."""
-        np = columnar._np
-        offsets, _, error = columnar.scan_frames(data, offset)
-        if len(offsets) < _VECTOR_MIN_RECORDS:
-            events = self._observe_records(data, offsets)
-        else:
-            events = []
-            compiled = self.compiled_model()
-            b = np.frombuffer(data, dtype=np.uint8)
-            offs_all = np.asarray(offsets, dtype=np.int64)
-            for lo in range(0, len(offs_all), _BATCH_CHUNK):
-                self._ingest_chunk(
-                    np, b, data, offs_all[lo : lo + _BATCH_CHUNK], compiled, events
-                )
         if error is not None:
-            # The scalar loop would have ingested every complete record
-            # before raising; the prefix above reproduces that state.
+            # Every complete record before the fault is ingested above,
+            # which is the state decoding and observing one by one leaves.
             raise ValueError(error)
         return events
 
@@ -580,9 +495,7 @@ class AnomalyDetector:
         bucket / perf-dict creation order exactly.
         """
         m = len(offs)
-        if not m:
-            return
-        ts_ms = columnar._gather_u64(b, offs, 6, 8)
+        ts_ms = columnar.header_column(b, offs, "ts_ms")
         ts_lo, ts_hi = int(ts_ms.min()), int(ts_ms.max())
         width = self.config.window_s
         bounds = None
@@ -595,26 +508,23 @@ class AnomalyDetector:
         sig = None
         if bounds is not None:
             sig = columnar.resolve_sig_ids(
-                b, offs + SYNOPSIS_HEADER.size, b[offs + 18].astype(np.int64),
+                b,
+                offs + SYNOPSIS_HEADER.size,
+                columnar.header_column(b, offs, "n_entries"),
                 compiled.space,
             )
         if sig is None:
-            events.extend(self._degrade_records(data, offs))
+            events.extend(self._degrade_records(data, offs.tolist()))
             return
         first, boundaries = bounds
         idx = first + np.searchsorted(
             np.asarray(boundaries, dtype=np.int64), ts_ms, side="right"
         )
-        stage_int = b[offs + 1].astype(np.int64)
+        stage_int = columnar.header_column(b, offs, "stage_id")
         if self.model.config.per_host:
-            stage_int |= b[offs].astype(np.int64) << 8
+            stage_int |= columnar.header_column(b, offs, "host_id") << 8
         cell = (stage_int << columnar.SIG_BITS) | sig
-        duration = (
-            columnar._gather_u64(b, offs, 14, 4)
-            .astype(np.uint32)
-            .view(np.int32)
-            .astype(np.int64)
-        )
+        duration = columnar.header_column(b, offs, "duration_us")
         unique_cells, inverse = np.unique(cell, return_inverse=True)
         cuts = np.empty(len(unique_cells), dtype=np.int64)
         for j, packed in enumerate(unique_cells):
@@ -648,7 +558,7 @@ class AnomalyDetector:
                     events.extend(emitted)
                 triggers += 1
                 if triggers >= _BATCH_MAX_TRIGGERS and pos < m:
-                    events.extend(self._degrade_records(data, offs[pos:]))
+                    events.extend(self._degrade_records(data, offs[pos:].tolist()))
                     return
 
     def _apply_counts(self, np, kk, compiled) -> None:
@@ -676,20 +586,9 @@ class AnomalyDetector:
             cell = rest & cell_mask
             stage_int = cell >> columnar.SIG_BITS
             stage_key = (stage_int >> 8, stage_int & 0xFF)
-            bucket_key = (stage_key, index)
-            bucket = buckets.get(bucket_key)
+            bucket = buckets.get((stage_key, index))
             if bucket is None:
-                # Mirrors _observe's bucket creation (kept inline there
-                # to spare the scalar hot path a call).
-                bucket = buckets[bucket_key] = _WindowBucket()
-                keys = self._index_keys.get(index)
-                if keys is None:
-                    self._index_keys[index] = [stage_key]
-                    heapq.heappush(self._index_heap, index)
-                else:
-                    keys.append(stage_key)
-                self._m_windows_opened.inc()
-                self._m_windows_open.inc()
+                bucket = self._open_bucket(stage_key, index)
             bucket.n += count
             flags, _ = compiled.rule(cell)
             if not flags & columnar.KNOWN:
@@ -708,48 +607,46 @@ class AnomalyDetector:
                         perf[0] += count
             self._tasks_seen += count
 
-    def _degrade_records(self, data, offs) -> List[AnomalyEvent]:
-        """A guard tripped: the chunk's records at ``offs`` (a numpy
-        column) go through :meth:`_observe_records`, counted in
-        ``columnar_fallback_tasks``."""
+    def _degrade_records(self, data: bytes, records: List[int]) -> List[AnomalyEvent]:
+        """:meth:`_observe_records` as a fallback (tracing on, or a chunk
+        guard tripped): counted in ``columnar_fallback_tasks``."""
         before = self._tasks_seen
         try:
-            return self._observe_records(data, offs.tolist())
+            return self._observe_records(data, records)
         finally:
             self._columnar_fallback_tasks += self._tasks_seen - before
 
-    def _observe_records(self, data, records: List[int]) -> List[AnomalyEvent]:
-        """Exact per-record route over scanned record offsets.
+    def _observe_records(self, data: bytes, records: List[int]) -> List[AnomalyEvent]:
+        """The per-record route over scanned record offsets.
 
-        Decodes each record and funnels it through :meth:`_observe`,
-        identically to the fused scalar wire path (shared signature
-        cache included).  Only reached with tracing off.  Serves small
-        batches by choice and guard-tripped chunks as the fallback.
+        Unpacks each record (signature through the entry-bytes cache,
+        trace key when tracing is on) and funnels it through
+        :meth:`_observe`.  Serves :meth:`observe_frame`, small or traced
+        batches, and guard-tripped chunks of the vector kernel.
         """
         events: List[AnomalyEvent] = []
         unpack_header = SYNOPSIS_HEADER.unpack_from
         header_size = SYNOPSIS_HEADER.size
+        entry_size = SYNOPSIS_ENTRY.size
         cache = self._wire_signatures
         per_host = self.model.config.per_host
+        tracing = self._tracing
         observe = self._observe
         for record in records:
-            host_id, stage_id, _uid, ts_ms, duration_us, n = unpack_header(
-                data, record
-            )
+            host_id, stage_id, uid, ts_ms, duration_us, n = unpack_header(data, record)
             start = record + header_size
-            entry_bytes = data[start : start + 6 * n]
+            entry_bytes = data[start : start + entry_size * n]
             signature = cache.get(entry_bytes)
             if signature is None:
-                flat = entry_struct(n).unpack_from(data, start) if n else ()
                 if len(cache) >= _WIRE_SIGNATURE_CACHE_MAX:
                     cache.clear()
-                signature = cache[entry_bytes] = intern_signature(flat[0::2])
+                signature = cache[entry_bytes] = signature_of_entries(entry_bytes)
             emitted = observe(
                 (host_id, stage_id) if per_host else (0, stage_id),
                 signature,
                 duration_us / 1_000_000.0,
                 ts_ms / 1000.0,
-                None,
+                (host_id, uid) if tracing else None,
             )
             if emitted:
                 events.extend(emitted)
@@ -809,7 +706,7 @@ class AnomalyDetector:
             heapq.heapify(self._index_heap)
         return dropped
 
-    def absorb_frame(self, frame: bytes, offset: int = 0) -> List[AnomalyEvent]:
+    def absorb_frame(self, frame, offset: int = 0) -> List[AnomalyEvent]:
         """Ingest one *replayed* wire frame, deferring window closes.
 
         The new-owner half of a fleet reroute: replayed synopses are
@@ -869,35 +766,17 @@ class AnomalyDetector:
             self._m_new_signatures.inc(len(bucket.new_signatures))
         flow_baseline = stage_model.flow_outlier_share if stage_model else 0.0
 
-        if bucket.n < self.config.min_window_tasks:
-            # Too few tasks for proportion tests — but a *new* signature
-            # is a flow anomaly regardless of volume (paper Sec. 3.3.3:
-            # "we observe a new signature that we have not seen during
-            # training").
-            if bucket.new_signatures:
-                events.append(
-                    AnomalyEvent(
-                        kind=FLOW,
-                        host_id=host_id,
-                        stage_id=stage_id,
-                        window_start=window_start,
-                        window_end=window_end,
-                        outliers=bucket.flow_outliers,
-                        n=bucket.n,
-                        baseline=flow_baseline,
-                        p_value=0.0,
-                        new_signatures=tuple(
-                            sorted(bucket.new_signatures, key=canonical_tuple)
-                        ),
-                    )
-                )
-                self._m_anomalies_flow.inc()
-            return self._emit(events, bucket)
-
-        flow_test = proportion_exceeds_test(
-            bucket.flow_outliers, bucket.n, flow_baseline, self.config.alpha
-        )
-        if flow_test.reject or bucket.new_signatures:
+        # A *new* signature is a flow anomaly regardless of volume (paper
+        # Sec. 3.3.3: "we observe a new signature that we have not seen
+        # during training"); the proportion tests need min_window_tasks.
+        flow_p_value = 0.0 if bucket.new_signatures else None
+        if bucket.n >= self.config.min_window_tasks:
+            flow_test = proportion_exceeds_test(
+                bucket.flow_outliers, bucket.n, flow_baseline, self.config.alpha
+            )
+            if flow_test.reject:
+                flow_p_value = flow_test.p_value
+        if flow_p_value is not None:
             events.append(
                 AnomalyEvent(
                     kind=FLOW,
@@ -908,7 +787,7 @@ class AnomalyDetector:
                     outliers=bucket.flow_outliers,
                     n=bucket.n,
                     baseline=flow_baseline,
-                    p_value=flow_test.p_value if flow_test.reject else 0.0,
+                    p_value=flow_p_value,
                     new_signatures=tuple(
                         sorted(bucket.new_signatures, key=canonical_tuple)
                     ),
@@ -916,6 +795,8 @@ class AnomalyDetector:
             )
             self._m_anomalies_flow.inc()
 
+        # A group's eligible count never exceeds bucket.n, so a window too
+        # small for the flow test skips every group here too.
         offending: List[Signature] = []
         worst: Optional[ProportionTest] = None
         for signature, (outliers, eligible) in bucket.perf.items():

@@ -33,6 +33,7 @@ __all__ = [
     "clear_intern_table",
     "intern_signature",
     "intern_table_size",
+    "signature_of_entries",
 ]
 
 #: Safety valve: beyond this many distinct signatures the table stops
@@ -68,6 +69,22 @@ def intern_signature(log_points: Iterable[int]) -> InternedSignature:
             # encounters agree on one canonical instance.
             signature = _table.setdefault(key, signature)
     return signature
+
+
+def signature_of_entries(entry_bytes: bytes) -> InternedSignature:
+    """The shared signature behind one synopsis's packed log-point entries.
+
+    ``entry_bytes`` is the raw wire payload of the entries
+    (``len(entry_bytes) % 6 == 0``; see
+    :data:`repro.core.synopsis.SYNOPSIS_ENTRY`) — the one place wire
+    ingest turns entry bytes into a signature, so every byte-keyed
+    cache maps a pattern to what the object decoder would produce.
+    """
+    from .synopsis import entry_struct  # synopsis imports this module
+
+    n = len(entry_bytes) // 6
+    flat = entry_struct(n).unpack(entry_bytes) if n else ()
+    return intern_signature(flat[0::2])
 
 
 def canonical_tuple(signature: Iterable[int]) -> Tuple[int, ...]:
@@ -143,19 +160,14 @@ class SignatureIdSpace:
     def resolve_entry(self, entry_bytes: bytes) -> Optional[int]:
         """Dense id for a packed log-point entry byte pattern.
 
-        ``entry_bytes`` is the raw wire payload of one synopsis's
-        entries (``len(entry_bytes) % 6 == 0``; see
-        :data:`repro.core.synopsis.SYNOPSIS_ENTRY`).  The pattern ->
-        id mapping is memoized, so steady-state resolution is one dict
-        probe.  Returns None when the space is full (new pattern only).
+        ``entry_bytes`` is as for :func:`signature_of_entries`.  The
+        pattern -> id mapping is memoized, so steady-state resolution
+        is one dict probe.  Returns None when the space is full (new
+        pattern only).
         """
         sig_id = self._by_entry.get(entry_bytes)
         if sig_id is None:
-            from .synopsis import entry_struct
-
-            n = len(entry_bytes) // 6
-            flat = entry_struct(n).unpack(entry_bytes) if n else ()
-            sig_id = self.id_of(intern_signature(flat[0::2]))
+            sig_id = self.id_of(signature_of_entries(entry_bytes))
             if sig_id is not None:
                 self._by_entry[entry_bytes] = sig_id
         return sig_id

@@ -56,7 +56,6 @@ def main(argv) -> int:
     from repro.telemetry import MetricsRegistry
 
     from .coordinator import EVENT_ORDER, ShardedAnalyzer
-    from .partition import shard_for
 
     parser = argparse.ArgumentParser(
         prog="python -m repro shard",
@@ -70,10 +69,6 @@ def main(argv) -> int:
     model = OutlierModel(config).train(_demo_trace(max(args.tasks // 3, 3000)))
     trace = _demo_trace(args.tasks, anomalous=True)
 
-    print(f"partition map ({args.shards} shards):")
-    for stage in _DEMO_STAGES:
-        print(f"  stage {stage:>3} -> shard {shard_for(stage, args.shards)}")
-
     started = time.perf_counter()
     # Coordinator-side reference run, not a shard worker's detector.
     single = AnomalyDetector(model)  # saadlint: disable=SH001
@@ -85,6 +80,9 @@ def main(argv) -> int:
     registry = MetricsRegistry()
     started = time.perf_counter()
     with ShardedAnalyzer(model, args.shards, registry=registry) as pool:
+        print(f"partition map ({args.shards} shards):")
+        for stage in _DEMO_STAGES:
+            print(f"  stage {stage:>3} -> shard {pool.shard_of(stage)}")
         pool.dispatch(trace)
         pool.close()
         sharded_s = time.perf_counter() - started

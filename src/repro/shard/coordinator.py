@@ -35,7 +35,7 @@ from repro.core.synopsis import FRAME_HEADER, MAX_FRAME_SYNOPSES, TaskSynopsis
 from repro.telemetry import NULL_REGISTRY, merge_snapshots
 from repro.tracing import NULL_TRACER
 
-from .partition import route_payload, shard_table
+from .partition import route_payload
 from .worker import WorkerInit, worker_main
 
 __all__ = ["ShardedAnalyzer", "ShardWorkerError", "EVENT_ORDER"]
@@ -71,8 +71,9 @@ class ShardedAnalyzer:
         to every worker in persistence-format JSON, so each shard
         reconstructs it into its own process-local interning table.
     shards:
-        Worker count.  Stages are partitioned ``shard_for(stage) %
-        shards``; any one stage's statistics live wholly in one worker.
+        Worker count.  Each stage byte is owned by one worker, chosen
+        by ``ring`` (:meth:`shard_of` reads the placement back); any one
+        stage's statistics live wholly in that worker.
     lateness_s, exemplars_per_window:
         Forwarded to each shard's detector.
     registry:
@@ -244,6 +245,11 @@ class ShardedAnalyzer:
         return merge_snapshots(self.worker_telemetry.values())
 
     # -- dispatch --------------------------------------------------------------
+    def shard_of(self, stage_id: int) -> int:
+        """Index of the worker that owns ``stage_id``, from the table
+        every ``dispatch*`` method routes by."""
+        return self._table[stage_id & 0xFF]
+
     def dispatch_frame(self, frame: bytes, offset: int = 0) -> None:
         """Route one length-prefixed wire frame to the shard buffers.
 

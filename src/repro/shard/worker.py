@@ -125,8 +125,7 @@ def worker_main(conn, init: WorkerInit) -> None:
             if kind == "frames":
                 # One "frames" payload is concatenated wire frames — the
                 # columnar batch path ingests the whole blob in one call
-                # (and degrades to the exact per-frame path itself when
-                # tracing is on or numpy is missing).
+                # (through its per-record loop when tracing is on).
                 events = observe_batch(message[1])
                 if events:
                     conn.send(("events", events))

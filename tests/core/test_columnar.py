@@ -1,11 +1,11 @@
 """Columnar batch detect path: scalar/batch equivalence suite.
 
 The contract under test (DESIGN §13): ``observe_batch`` must produce
-**bit-identical** ordered :class:`AnomalyEvent` output to the scalar
-``observe``/``observe_frame`` path for any wire input — including
-exemplar pins when tracing is on, error messages and partial state on
-truncated frames, and all the fallback ladders (no numpy, tracing,
-guard-tripped chunks).
+**bit-identical** ordered :class:`AnomalyEvent` output to the object
+path — ``observe`` over ``decode_frame``'d synopses, the one other
+reader of the record layout — for any wire input, including exemplar
+pins when tracing is on, error messages and partial state on truncated
+frames, and the fallbacks (tracing, guard-tripped chunks).
 
 ``observe_batch`` has two exact routes past the frame scan — the
 per-record loop for batches under ``_VECTOR_MIN_RECORDS`` records, the
@@ -30,7 +30,7 @@ from repro.core import (
 from repro.core.columnar import NO_CUT, exact_duration_cut
 from repro.core import columnar
 from repro.core import detector as detector_module
-from repro.core.synopsis import FRAME_HEADER, encode_frame
+from repro.core.synopsis import FRAME_HEADER, decode_frame, encode_frame
 
 pytestmark = pytest.mark.columnar
 
@@ -234,9 +234,10 @@ class TestBatchErrors:
         bad = encode_frame(stream[200:])[:-3]
 
         s_det = AnomalyDetector(model)
-        s_det.observe_frame(good)
+        for s in decode_frame(good)[0]:
+            s_det.observe(s)
         with pytest.raises(ValueError) as scalar_err:
-            s_det.observe_frame(bad)
+            decode_frame(bad)
 
         b_det = AnomalyDetector(model)
         with pytest.raises(ValueError) as batch_err:
@@ -251,14 +252,6 @@ class TestBatchErrors:
 
 @pytest.mark.usefixtures("route")
 class TestFallbacks:
-    def test_no_numpy_whole_batch_fallback(self, model, monkeypatch):
-        monkeypatch.setattr(columnar, "HAVE_NUMPY", False)
-        stream = make_stream()
-        scalar = scalar_run(model, stream)
-        batch = batch_run(model, frames_of(stream))
-        assert_equivalent(scalar, batch)
-        assert batch[0]._columnar_fallback_tasks == len(stream)
-
     def test_tracing_fallback_pins_identical_exemplars(self, model):
         from repro.tracing import Tracer
 
@@ -358,9 +351,14 @@ class TestCompiledModel:
 
 
 def frame_run(model, frames, **kwargs):
-    """The fused scalar wire path, one ``observe_frame`` per frame."""
+    """The object path over the same bytes: decode, then ``observe`` each."""
     detector = AnomalyDetector(model, **kwargs)
-    mid = [e for frame in frames for e in detector.observe_frame(frame)]
+    mid = [
+        e
+        for frame in frames
+        for s in decode_frame(frame)[0]
+        for e in detector.observe(s)
+    ]
     tail = detector.flush()
     return detector, mid, tail
 
@@ -454,6 +452,34 @@ class TestRouteChoice:
         tripped = batch_run(model, encode_frame(stream))
         assert tripped[0].registry.get("columnar_fallback_tasks").value == 200
         assert_equivalent(scalar_run(model, stream), tripped)
+
+    @pytest.mark.parametrize("framing", ["one_frame", "many_frames"])
+    def test_tracing_rides_the_record_loop_past_the_crossover(self, model, taken, framing):
+        from repro.tracing import Tracer
+
+        n = 3 * detector_module._VECTOR_MIN_RECORDS
+        stream = make_stream(tasks=n)
+        blob = encode_frame(stream) if framing == "one_frame" else frames_of(stream)
+
+        def run(feed):
+            tracer = Tracer(capacity=4096, registry=None)
+            tracer.set_model(model)
+            for s in stream:
+                tracer.finish(s, [(lp, s.start_time) for lp in sorted(s.log_points)])
+            detector = AnomalyDetector(model, tracer=tracer)
+            return detector, feed(detector), detector.flush()
+
+        scalar = run(lambda d: [e for s in stream for e in d.observe(s)])
+        batch = run(lambda d: d.observe_batch(blob))
+        assert taken == [("records", n)]
+        assert_equivalent(scalar, batch)
+        assert counters(batch[0]) == counters(scalar[0])
+        pins = [
+            [[(t.host_id, t.uid) for t in e.exemplars] for e in d.anomalies]
+            for d in (scalar[0], batch[0])
+        ]
+        assert pins[0] == pins[1] and any(pins[0])
+        assert batch[0]._columnar_tasks == batch[0]._columnar_fallback_tasks == n
 
     def test_default_frame_size_takes_the_record_loop(self, model, taken):
         from repro.core.stream import DEFAULT_FLUSH_SIZE

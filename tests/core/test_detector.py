@@ -292,3 +292,48 @@ class TestWireIngest:
         lying = FRAME_HEADER.pack(len(payload), 3) + payload
         with pytest.raises(ValueError, match="count mismatch"):
             detector.observe_frame(lying)
+
+    @pytest.mark.parametrize("entry", ["observe_frame", "absorb_frame", "observe_batch"])
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_every_entry_point_takes_any_bytes_like(self, model, entry, kind):
+        from repro.core.synopsis import encode_frame
+
+        stream = self.make_stream(tasks=400)
+        object_path = AnomalyDetector(model)
+        for s in stream:
+            object_path.observe(s)
+        wire_path = AnomalyDetector(model)
+        getattr(wire_path, entry)(kind(encode_frame(stream)))
+        assert wire_path.flush() == object_path.flush() != []
+        assert wire_path.tasks_seen == object_path.tasks_seen
+        # A memoryview slice as cache key would pin the caller's buffer.
+        assert {type(key) for key in wire_path._wire_signatures} == {bytes}
+
+    @pytest.mark.parametrize("fault", ["entries", "header", "count"])
+    def test_in_frame_faults_leave_the_same_state_from_every_entry(self, model, fault):
+        from repro.core.synopsis import FRAME_HEADER, decode_frame, encode_frame
+
+        stream = self.make_stream(tasks=6)
+        frame = encode_frame(stream)
+        body = bytearray(frame[FRAME_HEADER.size :])
+        record = len(stream[0].encode())  # offset of the second record
+        complete = len(stream)
+        if fault == "entries":  # last record claims one entry too many
+            body[len(body) - len(stream[-1].encode()) + 18] += 1
+            complete -= 1
+        elif fault == "header":  # payload ends inside the second header
+            del body[record + 5 :]
+            complete = 1
+        bad = FRAME_HEADER.pack(len(body), len(stream) + (fault == "count")) + body
+        with pytest.raises(ValueError) as oracle:
+            decode_frame(bad)
+
+        states = []
+        for entry in ("observe_frame", "absorb_frame", "observe_batch"):
+            detector = AnomalyDetector(model)
+            with pytest.raises(ValueError) as raised:
+                getattr(detector, entry)(bad)
+            assert str(raised.value) == str(oracle.value)
+            assert detector.tasks_seen == complete
+            states.append((detector.watermark, list(detector._buckets)))
+        assert states[0] == states[1] == states[2]

@@ -1,5 +1,7 @@
 """Coordinator behaviour: dispatch paths, accounting, lifecycle, errors."""
 
+import re
+
 import pytest
 
 from repro.core.synopsis import encode_frame
@@ -96,6 +98,33 @@ class TestAccounting:
         merged = {family["name"]: family for family in pool.aggregate_telemetry()}
         assert "detector_tasks_observed" in merged
         assert _sample_total(merged["detector_tasks_observed"]) == len(detect_trace)
+
+
+class TestPartitionMap:
+    def test_cli_prints_the_map_dispatch_routes_by(self, model, capsys):
+        from repro.shard import cli
+
+        from .conftest import make_synopsis
+
+        assert cli.main(["--shards", "4", "--tasks", "3000"]) == 0
+        printed = {
+            int(stage): int(shard)
+            for stage, shard in re.findall(
+                r"stage +(\d+) -> shard (\d+)", capsys.readouterr().out
+            )
+        }
+        assert sorted(printed) == sorted(cli._DEMO_STAGES)
+        expected = dict.fromkeys(range(4), 0)
+        with ShardedAnalyzer(model, 4) as pool:
+            for stage, shard in printed.items():
+                # A single-stage trace lands wholly on the printed shard.
+                pool.dispatch(
+                    [make_synopsis(stage, 0, uid, uid * 0.05, 0.01, (1,)) for uid in range(20)]
+                )
+                pool.flush()
+                expected[shard] += 20
+                tasks = {s: stats["tasks"] for s, stats in pool.worker_stats.items()}
+                assert tasks == expected
 
 
 class TestLifecycle:

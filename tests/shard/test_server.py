@@ -41,6 +41,7 @@ class TestSynopsisServer:
                 for start in range(0, len(synopses), 50):
                     client.send(encode_frame(synopses[start : start + 50]))
                 assert client.frames_sent == 5
+                client.wait_acked()
             _wait_for(lambda: collector.count == len(synopses))
 
         assert [s.uid for s in collector.synopses] == [s.uid for s in synopses]
@@ -98,6 +99,7 @@ class TestEndToEnd:
                 with FrameClient(server.address) as client:
                     for start in range(0, len(detect_trace), 400):
                         client.send(encode_frame(detect_trace[start : start + 400]))
+                    client.wait_acked()
                 _wait_for(
                     lambda: _counter(registry, "shard_server_frames") * 400
                     >= len(detect_trace)
