@@ -10,10 +10,10 @@ across analyzer *nodes*.  Three layers, each usable alone:
   failure detection (alive → suspect → dead), and incarnation numbers
   so a falsely accused node squashes the rumor by re-asserting itself.
 * :mod:`repro.fleet.ring` — a consistent-hash ring with virtual nodes:
-  the deterministic ``stage byte -> analyzer`` placement that replaces
-  the static ``shard_table`` as the routing source of truth.  A join or
-  leave moves only ~1/N of the stage space, and every rebuild bumps
-  ``ring_version`` so routes are attributable to a membership epoch.
+  the deterministic ``stage byte -> analyzer`` placement the fleet and
+  the sharded pool both route by.  A join or leave moves only ~1/N of
+  the stage space, and every rebuild bumps ``ring_version`` so routes
+  are attributable to a membership epoch.
 * :mod:`repro.fleet.router` / :mod:`repro.fleet.node` — the rerouting
   glue: a watermark-pruned retention buffer per stage, replay of a dead
   or disowned analyzer's open-window tail to the stage's new owner, and

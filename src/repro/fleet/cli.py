@@ -40,23 +40,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _train_demo_model(tasks: int):
+def _demo_model(training_tasks: int):
+    """A model trained on the fault-free demo trace."""
     from repro.core import OutlierModel, SAADConfig
-    from repro.shard.cli import _demo_trace
+    from repro.telemetry.demo import demo_trace
 
     config = SAADConfig(window_s=60.0, min_window_tasks=8)
-    model = OutlierModel(config).train(_demo_trace(max(tasks // 3, 3000)))
-    return model, _demo_trace(tasks, anomalous=True)
+    return OutlierModel(config).train(demo_trace(training_tasks))
 
 
 def _status(args) -> int:
-    from repro.core import OutlierModel, SAADConfig
-    from repro.shard.cli import _demo_trace
-
     from .node import AnalyzerFleet
 
-    config = SAADConfig(window_s=60.0, min_window_tasks=8)
-    model = OutlierModel(config).train(_demo_trace(3000))
+    model = _demo_model(3000)
     with AnalyzerFleet(model, args.nodes) as fleet:
         fleet.step_gossip(args.rounds)
         print(f"membership ({args.rounds} gossip rounds, coordinator view):")
@@ -77,10 +73,12 @@ def _status(args) -> int:
 def _join(args) -> int:
     from repro.core import AnomalyDetector
     from repro.shard.coordinator import EVENT_ORDER
+    from repro.telemetry.demo import demo_trace
 
     from .node import AnalyzerFleet
 
-    model, trace = _train_demo_model(args.tasks)
+    model = _demo_model(max(args.tasks // 3, 3000))
+    trace = demo_trace(args.tasks, anomalous=True)
 
     # Coordinator-side reference run, not a fleet node's detector.
     single = AnomalyDetector(model)  # saadlint: disable=SH001

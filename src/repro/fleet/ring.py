@@ -1,21 +1,19 @@
-"""Consistent-hash stage placement for the analyzer fleet.
+"""Consistent-hash stage placement for the sharded pool and the fleet.
 
-The static partitioner (:mod:`repro.shard.partition`) maps
-``stage_id % shards`` — perfect for a fixed worker pool, catastrophic
-for an elastic one: changing ``shards`` by one remaps almost every
-stage, so every analyzer's window state would have to move.  The ring
-fixes the blast radius: each node projects ``vnodes`` virtual points
-onto a 64-bit circle, and a stage byte is owned by the first vnode at
-or clockwise-after its own point.  Adding or removing one of N nodes
-then moves only the arcs that node's vnodes covered — ~1/N of the
-stage space in expectation, bounded in tests at 1.5/N with the default
-vnode count (tests/fleet/test_ring.py).
+A modulo placement (``stage_id % shards``) would remap almost every
+stage when the analyzer count changes by one, so every analyzer's
+window state would have to move.  The ring bounds the blast radius:
+each node projects ``vnodes`` virtual points onto a 64-bit circle, and
+a stage byte is owned by the first vnode at or clockwise-after its own
+point.  Adding or removing one of N nodes then moves only the arcs that
+node's vnodes covered — ~1/N of the stage space in expectation, bounded
+in tests at 1.5/N with the default vnode count
+(tests/fleet/test_ring.py).
 
 Hashing is ``blake2b`` (stdlib, keyed by nothing) rather than Python's
-``hash`` for exactly the reason ``shard_for`` uses a fixed Fibonacci
-mix: placement must be identical across processes, interpreter
-versions, and ``PYTHONHASHSEED`` — every router in the fleet must
-agree on who owns stage 0x2A without talking to each other.
+``hash``: placement must be identical across processes, interpreter
+versions, and ``PYTHONHASHSEED`` — every router must agree on who owns
+stage 0x2A without talking to each other.
 
 Every mutation bumps :attr:`HashRing.version`, and routed frames are
 attributable to the version that placed them, so reroute accounting
@@ -120,16 +118,16 @@ class HashRing:
         return self._points[index][1]
 
     def table(self) -> List[str]:
-        """``owner`` precomputed for every stage byte (0..255), cached.
-
-        The fleet router's hot loop indexes this exactly the way the
-        sharded coordinator indexes ``shard_table`` — the ring only
-        changes the *construction* of the 256-entry table, not the
-        decode-free routing scan that consumes it.
-        """
+        """``owner`` precomputed for every stage byte (0..255), cached."""
         if self._table is None:
             self._table = [self.owner(stage_id) for stage_id in range(_STAGE_SPACE)]
         return self._table
+
+    def index_table(self) -> List[int]:
+        """:meth:`table` as positions in :attr:`nodes`: the worker-index
+        table :func:`~repro.shard.partition.route_payload` routes by."""
+        order = {node_id: index for index, node_id in enumerate(self.nodes)}
+        return [order[owner] for owner in self.table()]
 
     def ownership(self) -> Dict[str, int]:
         """``node -> owned stage-byte count`` (balance introspection)."""

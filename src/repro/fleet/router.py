@@ -59,7 +59,6 @@ class FleetRouter:
     connect:
         ``node_id -> FrameClient``-shaped factory; called once per
         routable node (and again if a node rejoins after a death).
-        Clients must speak protocol v3 for replay/disown to work.
     window_s, lateness_s:
         The detection window geometry — must match the analyzers'
         (the retention horizon is computed from it).
@@ -170,7 +169,7 @@ class FleetRouter:
                 self._clients[node_id] = self.connect(node_id)
         self._order = self.ring.nodes
         after = self.ring.table()
-        self._table = [self._order.index(owner) for owner in after]
+        self._table = self.ring.index_table()
         self._pending = [[] for _ in self._order]
         for node_id in removed:
             self._m_owned.labels(node=node_id).set(0)

@@ -120,19 +120,6 @@ RULES: Dict[str, Rule] = {
             "and exemplar keys never route back to the parent.",
         ),
         Rule(
-            "FL001",
-            WARNING,
-            "static partition table in fleet code",
-            "Code under a fleet/ package must resolve stage ownership "
-            "through the consistent-hash ring (HashRing.owner / .table): "
-            "the static shard_for/shard_table modulo placement is only "
-            "valid while the analyzer count never changes.  After a join "
-            "or death it silently misroutes nearly every stage and "
-            "bypasses ring_version stamping, retention, and replay — the "
-            "machinery that keeps the merged event stream exact across "
-            "reshards.",
-        ),
-        Rule(
             "CP001",
             INFO,
             "per-task detect loop on a batch-capable path",

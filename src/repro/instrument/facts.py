@@ -53,11 +53,6 @@ _DETECTOR_CLASS = "AnomalyDetector"
 #: ``observe`` -> ``observe_batch``, ``classify`` -> compiled rule tables.
 _BATCH_CAPABLE_METHODS = frozenset({"observe", "classify"})
 
-#: Static-partition helpers FL001 flags inside fleet packages — elastic
-#: routing must come from the consistent-hash ring, not the modulo table
-#: (repro.shard.partition), which misroutes on any membership change.
-_PARTITION_FUNCS = frozenset({"shard_for", "shard_table"})
-
 #: Span-lifecycle method names on tracer-like receivers (TR001).  Sim
 #: and server code should never call these directly — the task execution
 #: tracker emits spans from set_context/end_task when tracing is on.
@@ -187,9 +182,6 @@ class FileFacts:
     )
     #: (line, col) of direct ``AnomalyDetector(...)`` constructions (SH001).
     detector_ctors: List[Tuple[int, int]] = field(default_factory=list)
-    #: (line, col, name) of static partition calls — ``shard_for`` /
-    #: ``shard_table``, bare or attribute form (FL001).
-    partition_calls: List[Tuple[int, int, str]] = field(default_factory=list)
     #: (line, col, receiver, method) of per-task ``observe``/``classify``
     #: calls made inside a loop body (CP001).
     detect_loop_calls: List[Tuple[int, int, str, str]] = field(
@@ -434,10 +426,6 @@ class _Collector(ast.NodeVisitor):
         )
         if ctor_name == _DETECTOR_CLASS:
             self.facts.detector_ctors.append((node.lineno, node.col_offset))
-        if ctor_name in _PARTITION_FUNCS:
-            self.facts.partition_calls.append(
-                (node.lineno, node.col_offset, ctor_name)
-            )
         if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
             receiver = func.value
             if (

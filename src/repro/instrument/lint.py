@@ -205,8 +205,6 @@ class LintEngine:
             out.extend(self._tr001(facts))
         if "SH001" in self.rules:
             out.extend(self._sh001(facts))
-        if "FL001" in self.rules:
-            out.extend(self._fl001(facts))
         if "CP001" in self.rules:
             out.extend(self._cp001(facts))
         if "SL001" in self.rules:
@@ -284,34 +282,6 @@ class LintEngine:
                     "build per-shard detectors through repro.shard.factory."
                     "shard_detector so the worker gets its process-local "
                     "registry, the key-echo tracer, and a shard_id tag",
-                )
-            )
-        return out
-
-    def _fl001(self, facts) -> List[Diagnostic]:
-        out = []
-        # Scoped like SH001, but to fleet packages: once membership is
-        # elastic, stage ownership must come from the consistent-hash
-        # ring — the static modulo table is only correct while the
-        # analyzer count never changes.
-        in_fleet = f"{os.sep}fleet{os.sep}" in facts.path or facts.path.startswith(
-            f"fleet{os.sep}"
-        )
-        if not in_fleet:
-            return out
-        for line, col, name in facts.partition_calls:
-            out.append(
-                Diagnostic(
-                    "FL001",
-                    facts.path,
-                    line,
-                    col,
-                    f"static partition call {name}() in fleet code",
-                    "resolve ownership through the fleet's HashRing "
-                    "(ring.owner / ring.table): the modulo table misroutes "
-                    "nearly every stage the moment a member joins or dies, "
-                    "while the ring moves ~1/N of stages, stamps "
-                    "ring_version, and drives retention/replay",
                 )
             )
         return out

@@ -5,8 +5,8 @@ makes the detection stage embarrassingly partitionable: route each
 stage's synopses to one worker and N workers reproduce a single
 detector's event set exactly.  This package provides the pieces —
 
-* :mod:`~repro.shard.partition` — the deterministic ``stage -> shard``
-  mapping and the decode-free byte router,
+* :mod:`~repro.shard.partition` — the pool's ``stage -> shard`` table
+  and the decode-free byte router,
 * :mod:`~repro.shard.factory` — the sanctioned per-shard detector
   constructor (saadlint SH001),
 * :mod:`~repro.shard.worker` — the spawn-safe worker process,
@@ -25,7 +25,7 @@ playbook).
 
 from .coordinator import EVENT_ORDER, ShardedAnalyzer, ShardWorkerError
 from .factory import shard_detector
-from .partition import route_payload, shard_for, shard_table
+from .partition import route_payload, shard_table
 from .server import AdaptiveFlush, FrameClient, SynopsisServer
 from .shedding import (
     PRIORITY_EXEMPLAR,
@@ -52,7 +52,6 @@ __all__ = [
     "WorkerInit",
     "route_payload",
     "shard_detector",
-    "shard_for",
     "shard_table",
     "worker_main",
 ]

@@ -17,43 +17,17 @@
 from __future__ import annotations
 
 import argparse
-import random
 import time
-from typing import List, Optional
+from typing import Optional
 
 __all__ = ["main", "serve"]
-
-_DEMO_STAGES = (1, 2, 3, 5, 8, 13)
-
-
-def _demo_trace(tasks: int, anomalous: bool = False) -> List:
-    """A deterministic multi-stage synthetic trace (no wall clock)."""
-    from repro.core import TaskSynopsis
-
-    rng = random.Random(42 if anomalous else 7)
-    out = []
-    for i in range(tasks):
-        stage = _DEMO_STAGES[i % len(_DEMO_STAGES)]
-        lps = (stage, stage + 1, stage + 3)
-        if anomalous and stage == 5 and i > tasks // 2 and i % 2:
-            lps = (stage, stage + 1, stage + 2, stage + 3)
-        out.append(
-            TaskSynopsis(
-                host_id=i % 2,
-                stage_id=stage,
-                uid=i,
-                start_time=i * 0.01,
-                duration=0.01 * rng.lognormvariate(0, 0.3),
-                log_points={lp: 1 for lp in lps},
-            )
-        )
-    return out
 
 
 def main(argv) -> int:
     """Entry for ``python -m repro shard``."""
     from repro.core import AnomalyDetector, OutlierModel, SAADConfig
     from repro.telemetry import MetricsRegistry
+    from repro.telemetry.demo import demo_trace
 
     from .coordinator import EVENT_ORDER, ShardedAnalyzer
 
@@ -66,8 +40,8 @@ def main(argv) -> int:
     args = parser.parse_args(argv)
 
     config = SAADConfig(window_s=60.0, min_window_tasks=8)
-    model = OutlierModel(config).train(_demo_trace(max(args.tasks // 3, 3000)))
-    trace = _demo_trace(args.tasks, anomalous=True)
+    model = OutlierModel(config).train(demo_trace(max(args.tasks // 3, 3000)))
+    trace = demo_trace(args.tasks, anomalous=True)
 
     started = time.perf_counter()
     # Coordinator-side reference run, not a shard worker's detector.
@@ -81,7 +55,7 @@ def main(argv) -> int:
     started = time.perf_counter()
     with ShardedAnalyzer(model, args.shards, registry=registry) as pool:
         print(f"partition map ({args.shards} shards):")
-        for stage in _DEMO_STAGES:
+        for stage in sorted({synopsis.stage_id for synopsis in trace}):
             print(f"  stage {stage:>3} -> shard {pool.shard_of(stage)}")
         pool.dispatch(trace)
         pool.close()
@@ -106,7 +80,7 @@ def serve(argv) -> int:
 
     from .coordinator import ShardedAnalyzer
     from .server import SynopsisServer
-    from .shedding import LoadShedder, SignatureNovelty
+    from .shedding import LoadShedder
 
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
@@ -171,7 +145,6 @@ def serve(argv) -> int:
 
     registry = MetricsRegistry()
     analyzer: Optional[ShardedAnalyzer] = None
-    classify = None
     collector = SynopsisCollector(retain=False, registry=registry)
     if args.model:
         from repro.core.persistence import load_model
@@ -179,9 +152,6 @@ def serve(argv) -> int:
         model = load_model(args.model, registry=registry)
         analyzer = ShardedAnalyzer(model, args.shards, registry=registry)
         sink = analyzer.dispatch_frame
-        # Legacy (priority-less) connections get server-side priorities
-        # from the model: novel-signature frames survive shedding longer.
-        classify = SignatureNovelty.from_model(model).frame_priority
     else:
         sink = collector.feed
 
@@ -201,7 +171,6 @@ def serve(argv) -> int:
         high_watermark=args.high_watermark,
         low_watermark=args.low_watermark,
         shedder=shedder,
-        classify=classify,
         compression=not args.no_compression,
     )
     host, port = server.start()

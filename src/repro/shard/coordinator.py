@@ -35,7 +35,7 @@ from repro.core.synopsis import FRAME_HEADER, MAX_FRAME_SYNOPSES, TaskSynopsis
 from repro.telemetry import NULL_REGISTRY, merge_snapshots
 from repro.tracing import NULL_TRACER
 
-from .partition import route_payload
+from .partition import pool_ring, route_payload
 from .worker import WorkerInit, worker_main
 
 __all__ = ["ShardedAnalyzer", "ShardWorkerError", "EVENT_ORDER"]
@@ -93,14 +93,12 @@ class ShardedAnalyzer:
         flushed to its worker once it holds this many payload bytes.
     ring:
         The consistent-hash ring (:class:`~repro.fleet.ring.HashRing`)
-        that owns stage placement — the routing source of truth since
-        the fleet refactor (DESIGN.md §16).  Must hold exactly
-        ``shards`` nodes; node ids map to worker indices in sorted
-        order.  None builds a default ring over ``shard-0 ..
-        shard-N-1``.  (The legacy ``shard_for`` / ``shard_table``
-        mapping remains available from :mod:`repro.shard.partition`
-        for fixed-pool callers, but the coordinator itself routes by
-        ring so a pool and a fleet agree on placement mechanics.)
+        that owns stage placement, as in the analyzer fleet (DESIGN.md
+        §16).  Must hold exactly ``shards`` nodes; node ids map to
+        worker indices in sorted order (:meth:`HashRing.index_table
+        <repro.fleet.ring.HashRing.index_table>`).  None builds the
+        default ring over ``shard-0 .. shard-N-1``, whose table
+        :func:`~repro.shard.partition.shard_table` returns.
     """
 
     def __init__(
@@ -129,18 +127,13 @@ class ShardedAnalyzer:
         self.worker_telemetry: Dict[int, list] = {}
         self.closed = False
         if ring is None:
-            # Imported lazily: repro.fleet's package init reaches back
-            # into repro.shard, so a module-level import would cycle.
-            from repro.fleet.ring import HashRing
-
-            ring = HashRing(f"shard-{i}" for i in range(shards))
+            ring = pool_ring(shards)
         if len(ring) != shards:
             raise ValueError(
                 f"ring holds {len(ring)} nodes but the pool has {shards} shards"
             )
         self.ring = ring
-        order = ring.nodes
-        self._table = [order.index(owner) for owner in ring.table()]
+        self._table = ring.index_table()
         self._pending: List[List[bytes]] = [[] for _ in range(shards)]
         self._pending_bytes = [0] * shards
         self._unmerged: List[AnomalyEvent] = []

@@ -9,10 +9,10 @@ coordinator scans frame bytes, reads the stage byte and the entry count
 byte, and slices each encoded synopsis straight into its shard's output
 buffer.
 
-The mapping is ``hash(stage_id) % shards`` with a fixed multiplicative
-(Fibonacci) mix instead of Python's builtin ``hash`` so the result is
-stable across processes, interpreter versions, and ``PYTHONHASHSEED`` —
-a shard must route the same stage to the same worker on every run.
+Placement is a consistent-hash ring (:class:`~repro.fleet.ring.HashRing`)
+over the pool's worker ids, the same placement the analyzer fleet
+routes by; :func:`shard_table` flattens it into the 256-entry table
+the routing scan indexes.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.core.synopsis import SYNOPSIS_ENTRY, SYNOPSIS_HEADER
-
-#: Knuth's multiplicative-hash constant (2^32 / phi), the fixed mix.
-_MIX = 0x9E3779B1
-_MASK = 0xFFFFFFFF
 
 #: Wire offsets the routing scan reads (see ``repro.core.synopsis``):
 #: byte 1 is the stage id, the last header byte is the entry count.
@@ -33,25 +29,27 @@ _STAGE_OFFSET = 1
 _COUNT_OFFSET = _HEADER_SIZE - 1
 
 
-def shard_for(stage_id: int, shards: int) -> int:
-    """The shard index stage ``stage_id`` is partitioned to.
-
-    Deterministic across processes and runs: ``(stage_id * 2654435761
-    mod 2^32) >> 16 mod shards``.  Every task of one stage lands on one
-    shard, so per-stage windows and tests never straddle workers.
-    """
+def pool_ring(shards: int):
+    """The ring a default ``ShardedAnalyzer(model, shards)`` places by:
+    a :class:`~repro.fleet.ring.HashRing` over ``shard-0 .. shard-N-1``."""
     if shards < 1:
         raise ValueError(f"shards must be >= 1: {shards}")
-    return ((stage_id * _MIX & _MASK) >> 16) % shards
+    # Imported lazily: repro.fleet's package init reaches back into
+    # repro.shard, so a module-level import would cycle.
+    from repro.fleet.ring import HashRing
+
+    return HashRing(f"shard-{i}" for i in range(shards))
 
 
 def shard_table(shards: int) -> List[int]:
-    """``shard_for`` precomputed for every possible stage byte (0..255).
+    """The stage-byte -> worker-index table a default
+    ``ShardedAnalyzer(model, shards)`` routes by (0..255 -> 0..N-1).
 
-    The routing hot loop indexes this table instead of re-mixing per
-    synopsis.
+    Deterministic across processes and runs: every task of one stage
+    lands on one shard, so per-stage windows and tests never straddle
+    workers.
     """
-    return [shard_for(stage_id, shards) for stage_id in range(256)]
+    return pool_ring(shards).index_table()
 
 
 def route_payload(

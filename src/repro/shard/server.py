@@ -19,10 +19,10 @@ frames pass through admission control into one bounded delivery queue
 drained by a pump task, so the ingest edge degrades gracefully instead
 of buffering without bound —
 
-* **Credit-based backpressure.**  A negotiated connection is granted a
-  byte *credit window* at connect; every data envelope consumes credit
-  and the server re-grants it (piggybacked on the per-frame ack) only
-  when the frame has left the queue.  A stalled analyzer therefore
+* **Credit-based backpressure.**  A connection is granted a byte
+  *credit window* at connect; every data envelope consumes credit and
+  the server re-grants it (piggybacked on the per-frame ack) only when
+  the frame has left the queue.  A stalled analyzer therefore
   stops the clients, not the other way around.
 * **Read pausing.**  When the queue backlog crosses the high watermark
   every connection's read loop parks on a resume event
@@ -34,20 +34,17 @@ of buffering without bound —
   watermark (exemplar-bearing ones only past the hard watermark);
   dropped frames are acked immediately so clients keep their credit.
 
-Protocol: a legacy connection just writes raw wire frames, exactly as
-before — the server detects this from the first 6 bytes and serves it
-with TCP-level backpressure only.  A negotiated connection opens with
-the magic hello ``b"SAAD" + version + flags`` (the 4-byte magic decodes
-as a ~1.1 GiB length prefix, far past the 64 MiB frame cap, so it can
-never be confused with a legacy frame header), receives a hello-ack
-carrying the accepted flags and the initial credit, and then sends each
-frame in a typed envelope ``(type, priority, length)`` — optionally
-zlib-compressed when both sides agreed at connect.  The server answers
-each data envelope with a 9-byte ack ``(seq, credit-grant)`` that both
-replenishes credit and gives the client its round-trip time signal.
+Protocol: every connection opens with the magic hello ``b"SAAD" +
+version + flags``; one whose first bytes are anything else is closed
+and counted in ``shard_server_truncated``.  The client receives a
+hello-ack carrying the server's version, the accepted flags and the
+initial credit, and then sends each frame in a typed envelope ``(type,
+priority, length)`` — optionally zlib-compressed when both sides agreed
+at connect.  The server answers each data envelope with a 9-byte ack
+``(seq, credit-grant)`` that both replenishes credit and gives the
+client its round-trip time signal.
 
-Fleet observability rides the same socket (protocol version 2,
-docs/OPERATIONS.md §9):
+Fleet observability rides the same socket (docs/OPERATIONS.md §9):
 
 * **TELEMETRY envelopes** — a client periodically piggybacks a compact
   JSON snapshot of its local
@@ -89,7 +86,7 @@ import time
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.synopsis import FRAME_HEADER, MAX_FRAME_SYNOPSES
+from repro.core.synopsis import MAX_FRAME_SYNOPSES
 from repro.telemetry import NULL_REGISTRY
 
 from .shedding import PRIORITY_SAMPLED, LoadShedder
@@ -99,27 +96,19 @@ __all__ = ["SynopsisServer", "FrameClient", "AdaptiveFlush"]
 _MAX_FRAME_PAYLOAD = 1 << 26  # 64 MiB: reject absurd length prefixes early
 
 # -- ingest protocol ----------------------------------------------------------
-#: Negotiated-connection magic: as a little-endian length prefix this
-#: reads as ~1.14 GiB, far past ``_MAX_FRAME_PAYLOAD``, so no legal
-#: legacy frame can start with it.
+#: Connection magic: the first four bytes of every hello and hello-ack.
 _MAGIC = b"SAAD"
-#: Version 2 added the TELEMETRY / HEALTH control envelopes; the data
-#: path is unchanged, and a v2 client only sends control envelopes to a
-#: server that answered the hello with version >= 2.  Version 3 added
-#: the fleet reroute envelopes (REPLAY / DISOWN) and the watermark ack
-#: record; a v3 client only sends reroute envelopes to a server that
-#: answered with version >= 3.
+#: The envelope set below (data, control, reroute) and the watermark
+#: ack record.  A client refuses a server that answers with any other
+#: version.
 _PROTOCOL_VERSION = 3
 
 #: Hello flag bit: the client asks for (and the server accepts) zlib
 #: frame compression.
 _FLAG_COMPRESS = 0x01
 
-#: Client hello: magic, version, requested flags.  Deliberately the
-#: same size as ``FRAME_HEADER`` so the server's first read decides
-#: legacy vs negotiated without over-reading.
+#: Client hello: magic, version, requested flags.
 _HELLO = struct.Struct("<4sBB")
-assert _HELLO.size == FRAME_HEADER.size
 
 #: Server hello-ack: magic, version, accepted flags, credit window.
 _HELLO_ACK = struct.Struct("<4sBBI")
@@ -132,10 +121,10 @@ _ENV_BYE = 2  # clean shutdown marker, length 0
 _ENV_TELEMETRY = 3  # payload is a JSON registry snapshot (federation)
 _ENV_TELEMETRY_Z = 4  # ... zlib-compressed
 _ENV_HEALTH = 5  # health probe, length 0; answered on the ack stream
-#: Fleet reroute envelopes (protocol v3, DESIGN.md §16).  Both ride the
-#: delivery queue like data — a reroute instruction handled inline
-#: would overtake data frames already queued ahead of it — but neither
-#: may ever be shed: they carry correctness, not load.
+#: Fleet reroute envelopes (DESIGN.md §16).  Both ride the delivery
+#: queue like data — a reroute instruction handled inline would
+#: overtake data frames already queued ahead of it — but neither may
+#: ever be shed: they carry correctness, not load.
 _ENV_REPLAY = 6  # payload is one wire frame replayed after a ring change
 _ENV_DISOWN = 7  # payload is raw stage-id bytes the analyzer must drop
 
@@ -187,8 +176,8 @@ class SynopsisServer:
         Telemetry registry for the ``shard_server_*`` / ``server_*``
         metrics; defaults to :data:`~repro.telemetry.NULL_REGISTRY`.
     credit_window:
-        Byte credit granted to each negotiated connection at connect —
-        its maximum in-flight wire bytes.  Must comfortably exceed the
+        Byte credit granted to each connection at connect — its
+        maximum in-flight wire bytes.  Must comfortably exceed the
         largest frame a node flushes or senders serialize on the ack
         round-trip.
     high_watermark, low_watermark:
@@ -198,13 +187,9 @@ class SynopsisServer:
         Optional :class:`~repro.shard.shedding.LoadShedder` consulted
         at admission; dropped frames never occupy queue memory and are
         acked immediately so the sender's credit survives.
-    classify:
-        Optional ``frame -> priority`` callable used for connections
-        that do not declare priorities (legacy peers) — e.g.
-        :meth:`~repro.shard.shedding.SignatureNovelty.frame_priority`.
     compression:
         Whether to accept a client's request for zlib frame
-        compression; False forces every negotiated peer to fall back to
+        compression; False forces every peer to fall back to
         uncompressed envelopes.
     federation:
         Destination for TELEMETRY envelopes — anything with an
@@ -249,7 +234,6 @@ class SynopsisServer:
         high_watermark: Optional[int] = None,
         low_watermark: Optional[int] = None,
         shedder: Optional[LoadShedder] = None,
-        classify: Optional[Callable[[bytes], int]] = None,
         compression: bool = True,
         federation=None,
         health: Optional[Callable[[], dict]] = None,
@@ -280,7 +264,6 @@ class SynopsisServer:
                 f"{self.low_watermark} / {self.high_watermark}"
             )
         self.shedder = shedder
-        self.classify = classify
         self.compression = compression
         self.federation = federation
         self.health = health
@@ -297,7 +280,7 @@ class SynopsisServer:
         )
         self._m_truncated = registry.counter(
             "shard_server_truncated",
-            "connections that died mid-frame (partial tail discarded)",
+            "connections closed on a malformed or truncated stream",
         )
         self._m_delivered = registry.counter(
             "server_frames_delivered",
@@ -305,7 +288,7 @@ class SynopsisServer:
         )
         self._m_credits = registry.counter(
             "server_credits_granted",
-            "credit bytes granted to negotiated connections (window + acks)",
+            "credit bytes granted to connections (window + acks)",
         )
         self._m_paused = registry.counter(
             "server_reads_paused",
@@ -387,7 +370,6 @@ class SynopsisServer:
         writer,
         seq: int,
         wire: int,
-        grant: bool,
         closed: "asyncio.Task",
         deliver: Optional[Callable[[bytes], None]] = None,
         sheddable: bool = True,
@@ -395,9 +377,9 @@ class SynopsisServer:
         """Admission control for one received frame.
 
         Sheds against the current backlog (acking immediately so the
-        sender keeps its credit, when ``grant``), else queues for the
-        pump, then pauses this connection's reads while the backlog
-        sits above the high watermark.  The pause is connection-aware:
+        sender keeps its credit), else queues for the pump, then pauses
+        this connection's reads while the backlog sits above the high
+        watermark.  The pause is connection-aware:
         it also ends when this connection's transport dies, so an
         abruptly disconnected peer never leaves its handler — or the
         ``server_paused_connections`` gauge — wedged behind a stalled
@@ -414,11 +396,10 @@ class SynopsisServer:
             and self.shedder is not None
             and not self.shedder.admit(priority, len(frame), self._pending_bytes)
         ):
-            if grant:
-                self._grant(writer, seq, wire)
+            self._grant(writer, seq, wire)
             return
         self._pending_bytes += len(frame)
-        self._queue.put_nowait((frame, writer if grant else None, seq, wire, deliver))
+        self._queue.put_nowait((frame, writer, seq, wire, deliver))
         if self._pending_bytes > self.high_watermark and self._resume.is_set():
             self._resume.clear()
         if not self._resume.is_set():
@@ -499,8 +480,7 @@ class SynopsisServer:
                 self._m_sink_errors.inc()
             finally:
                 self._pending_bytes -= len(frame)
-                if writer is not None:
-                    self._grant(writer, seq, wire)
+                self._grant(writer, seq, wire)
                 if (
                     self._pending_bytes <= self.low_watermark
                     and not self._resume.is_set()
@@ -516,16 +496,16 @@ class SynopsisServer:
         closed = asyncio.ensure_future(writer.wait_closed())
         try:
             try:
-                first = await reader.readexactly(_HELLO.size)
+                hello = await reader.readexactly(_HELLO.size)
             except asyncio.IncompleteReadError as partial:
                 if partial.partial:
                     self._m_truncated.inc()
                 return
+            if hello[:4] != _MAGIC:
+                self._m_truncated.inc()
+                return
             try:
-                if first[:4] == _MAGIC:
-                    await self._serve_negotiated(reader, writer, first, closed)
-                else:
-                    await self._serve_legacy(reader, writer, first, closed)
+                await self._serve(reader, writer, hello, closed)
             except (ConnectionError, OSError):
                 pass  # peer died mid-conversation; teardown below
         except asyncio.CancelledError:
@@ -542,40 +522,7 @@ class SynopsisServer:
                 pass
             await asyncio.gather(closed, return_exceptions=True)
 
-    async def _serve_legacy(self, reader, writer, first: bytes, closed) -> None:
-        """Raw length-prefixed frames, no credit or acks (pre-overload
-        peers).  Backpressure still applies: reads pause at the high
-        watermark, so TCP flow control reaches the sender."""
-        header_size = FRAME_HEADER.size
-        header = first
-        while True:
-            length, _ = FRAME_HEADER.unpack(header)
-            if length > _MAX_FRAME_PAYLOAD:
-                self._m_truncated.inc()
-                return
-            try:
-                payload = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                self._m_truncated.inc()
-                return
-            frame = header + payload
-            self._m_frames.inc()
-            self._m_bytes.inc(len(frame))
-            # Per-frame (not per-synopsis) classification at the edge.
-            priority = (
-                self.classify(frame)  # saadlint: disable=CP001
-                if self.classify
-                else PRIORITY_SAMPLED
-            )
-            await self._admit(frame, priority, writer, 0, len(frame), False, closed)
-            try:
-                header = await reader.readexactly(header_size)
-            except asyncio.IncompleteReadError as partial:
-                if partial.partial:
-                    self._m_truncated.inc()
-                return
-
-    async def _serve_negotiated(self, reader, writer, hello: bytes, closed) -> None:
+    async def _serve(self, reader, writer, hello: bytes, closed) -> None:
         """The credit/ack envelope protocol behind the magic hello."""
         _magic, _version, flags = _HELLO.unpack(hello)
         accepted = flags & _FLAG_COMPRESS if self.compression else 0
@@ -629,7 +576,7 @@ class SynopsisServer:
                     else self._deliver_disown
                 )
                 await self._admit(
-                    payload, priority, writer, seq, wire, True, closed,
+                    payload, priority, writer, seq, wire, closed,
                     deliver=deliver, sheddable=False,
                 )
                 continue
@@ -646,7 +593,7 @@ class SynopsisServer:
             seq += 1
             self._m_frames.inc()
             self._m_bytes.inc(wire)
-            await self._admit(frame, priority, writer, seq, wire, True, closed)
+            await self._admit(frame, priority, writer, seq, wire, closed)
 
     # -- fleet reroute (queued control, DESIGN.md §16) -------------------------
     def _deliver_replay(self, frame: bytes) -> None:
@@ -861,10 +808,11 @@ class FrameClient:
 
     An instance is a valid ``frame_sink``: construct with the server's
     address and hand it to :class:`~repro.core.stream.SynopsisStream`
-    — every flushed frame is written to the socket.  By default the
-    client negotiates the envelope protocol (credit backpressure,
-    per-frame acks, optional compression) with the magic hello; pass
-    ``negotiate=False`` to speak the raw legacy frame stream instead.
+    — every flushed frame is written to the socket.  The client opens
+    with the magic hello and then speaks the envelope protocol (credit
+    backpressure, per-frame acks, optional compression); the
+    constructor raises ``ConnectionError`` when the peer does not
+    answer as a protocol-version-3 synopsis server.
 
     Parameters
     ----------
@@ -879,9 +827,6 @@ class FrameClient:
         Request zlib frame compression at connect; the server may
         decline, in which case frames go uncompressed (negotiation
         fallback — check :attr:`compression` for the outcome).
-    negotiate:
-        False skips the hello entirely: raw frames, no credit, no acks
-        (exactly the pre-overload wire behavior).
     priority_fn:
         Optional ``frame -> priority`` classifier consulted when
         :meth:`send` is not given an explicit priority — e.g.
@@ -904,11 +849,10 @@ class FrameClient:
         callable returning a families list.  None disables telemetry
         pushes.
     telemetry_interval_s:
-        Piggyback cadence: while a ``telemetry_source`` is set and the
-        server speaks protocol version >= 2, :meth:`send` pushes a
-        fresh snapshot whenever at least this many seconds have passed
-        since the last one.  None pushes only on explicit
-        :meth:`send_telemetry` calls.
+        Piggyback cadence: while a ``telemetry_source`` is set,
+        :meth:`send` pushes a fresh snapshot whenever at least this many
+        seconds have passed since the last one.  None pushes only on
+        explicit :meth:`send_telemetry` calls.
     """
 
     def __init__(
@@ -918,7 +862,6 @@ class FrameClient:
         *,
         registry=None,
         compression: bool = False,
-        negotiate: bool = True,
         priority_fn: Optional[Callable[[bytes], int]] = None,
         adaptive: Optional[AdaptiveFlush] = None,
         on_flush_size: Optional[Callable[[int], None]] = None,
@@ -932,7 +875,6 @@ class FrameClient:
         self.bytes_sent = 0
         self.frames_sent = 0
         self._closed = False
-        self._negotiated = False
         self._compress = False
         self._priority_fn = priority_fn
         self._adaptive = adaptive if adaptive is not None else AdaptiveFlush()
@@ -986,8 +928,7 @@ class FrameClient:
             "registry snapshots pushed to the analyzer (TELEMETRY envelopes)",
             labels=labels,
         ).labels(peer=peer)
-        if negotiate:
-            self._handshake(compression)
+        self._handshake(compression)
 
     # -- introspection -------------------------------------------------------
     @property
@@ -1002,16 +943,12 @@ class FrameClient:
 
     @property
     def credit(self) -> int:
-        """Current send credit in bytes (0 on a legacy connection)."""
+        """Current send credit in bytes."""
         return self._credit
 
     @property
     def server_version(self) -> int:
-        """The server's protocol version from the hello-ack (0 legacy).
-
-        Control envelopes (telemetry pushes, health probes) need
-        version >= 2; the piggyback path gates on this automatically.
-        """
+        """The server's protocol version from the hello-ack."""
         return self._server_version
 
     @property
@@ -1033,8 +970,8 @@ class FrameClient:
     def peer_watermark(self) -> float:
         """The analyzer's last advertised event-time watermark.
 
-        ``-inf`` until the first watermark record arrives (a pre-v3
-        server, or one without a watermark source, never advertises).
+        ``-inf`` until the first watermark record arrives (a server
+        without a watermark source never advertises).
         The fleet router prunes its per-stage replay retention against
         this: a window whose end the watermark has passed is already
         finalized — and its events emitted — at the analyzer.
@@ -1048,13 +985,22 @@ class FrameClient:
 
     # -- wire ----------------------------------------------------------------
     def _handshake(self, want_compression: bool) -> None:
+        """Exchange hello / hello-ack; the socket is closed on any failure."""
         flags = _FLAG_COMPRESS if want_compression else 0
-        self._sock.sendall(_HELLO.pack(_MAGIC, _PROTOCOL_VERSION, flags))
-        ack = self._recv_exact(_HELLO_ACK.size)
-        magic, version, accepted, window = _HELLO_ACK.unpack(ack)
-        if magic != _MAGIC:
-            raise ConnectionError("peer is not a SAAD synopsis server")
-        self._negotiated = True
+        try:
+            self._sock.sendall(_HELLO.pack(_MAGIC, _PROTOCOL_VERSION, flags))
+            ack = self._recv_exact(_HELLO_ACK.size)
+            magic, version, accepted, window = _HELLO_ACK.unpack(ack)
+            if magic != _MAGIC:
+                raise ConnectionError("peer is not a SAAD synopsis server")
+            if version != _PROTOCOL_VERSION:
+                raise ConnectionError(
+                    f"server speaks protocol version {version}, "
+                    f"this client speaks {_PROTOCOL_VERSION}"
+                )
+        except BaseException:
+            self._sock.close()
+            raise
         self._server_version = version
         self._compress = bool(accepted & _FLAG_COMPRESS)
         self._window = self._credit = window
@@ -1076,7 +1022,7 @@ class FrameClient:
     def send(self, frame: bytes, priority: Optional[int] = None) -> None:
         """Write one frame to the socket, respecting the credit window.
 
-        On a negotiated connection the frame travels in a data envelope
+        The frame travels in a data envelope
         (compressed when that shrinks it and the server agreed); if the
         envelope exceeds the remaining credit, the call blocks draining
         acks until the server re-grants enough (``client_credit_stalls``
@@ -1086,11 +1032,6 @@ class FrameClient:
         """
         if self._closed:
             raise RuntimeError("FrameClient is closed; send() after close()")
-        if not self._negotiated:
-            self._sock.sendall(frame)
-            self.bytes_sent += len(frame)
-            self.frames_sent += 1
-            return
         if priority is None:
             priority = (
                 self._priority_fn(frame)
@@ -1135,10 +1076,9 @@ class FrameClient:
         contract), credit-accounted like data, never shed, and
         delivered to the server's ``replay_sink`` — the detector's
         deferred-close absorb path — instead of its data sink.  Raises
-        ``RuntimeError`` when the connection cannot carry reroute
-        envelopes (closed, legacy, or a pre-v3 server).
+        ``RuntimeError`` after :meth:`close`.
         """
-        self._check_reroute_capable("send_replay")
+        self._check_open("send_replay")
         self._send_sequenced(_ENVELOPE.pack(_ENV_REPLAY, 0, len(frame)) + frame)
 
     def send_disown(self, stage_ids) -> None:
@@ -1150,28 +1090,20 @@ class FrameClient:
         buckets without emitting (no double counting).  The envelope is
         queued behind in-flight data frames, so a data frame for a
         moved stage that was already on the wire is observed first and
-        then disowned with the rest.  Raises ``RuntimeError`` when the
-        connection cannot carry reroute envelopes.
+        then disowned with the rest.  Raises ``RuntimeError`` after
+        :meth:`close`.
         """
         payload = bytes(stage_id & 0xFF for stage_id in stage_ids)
-        self._check_reroute_capable("send_disown")
+        self._check_open("send_disown")
         self._send_sequenced(_ENVELOPE.pack(_ENV_DISOWN, 0, len(payload)) + payload)
 
-    def _check_reroute_capable(self, what: str) -> None:
+    def _check_open(self, what: str) -> None:
         if self._closed:
             raise RuntimeError(f"FrameClient is closed; {what}() after close()")
-        if not self._negotiated or self._server_version < 3:
-            raise RuntimeError(
-                f"{what} needs a negotiated protocol-v3 connection"
-            )
 
     def _maybe_push_telemetry(self) -> None:
         """Piggyback a registry snapshot when the cadence is due."""
-        if (
-            self._telemetry_source is None
-            or self.telemetry_interval_s is None
-            or self._server_version < 2
-        ):
+        if self._telemetry_source is None or self.telemetry_interval_s is None:
             return
         now = time.monotonic()
         if (
@@ -1192,16 +1124,10 @@ class FrameClient:
         TELEMETRY envelope (compressed when the server agreed to zlib
         and that shrinks it) outside the credit window, so it cannot
         stall — or be stalled by — the data path.  Raises
-        ``RuntimeError`` when the connection cannot carry telemetry
-        (closed, legacy, or a pre-v2 server) and ``ValueError`` when no
+        ``RuntimeError`` after :meth:`close` and ``ValueError`` when no
         families are given and no source is configured.
         """
-        if self._closed:
-            raise RuntimeError("FrameClient is closed; send_telemetry() after close()")
-        if not self._negotiated or self._server_version < 2:
-            raise RuntimeError(
-                "telemetry pushes need a negotiated protocol-v2 connection"
-            )
+        self._check_open("send_telemetry")
         if families is None:
             source = self._telemetry_source
             if source is None:
@@ -1226,16 +1152,10 @@ class FrameClient:
         Sends a HEALTH envelope and blocks (up to ``timeout``, default
         the socket timeout) for the report on the ack stream — credit
         grants arriving meanwhile are absorbed normally, so probing is
-        safe mid-stream.  Raises ``RuntimeError`` on a connection that
-        cannot carry probes and ``TimeoutError`` when no report lands
-        in time.
+        safe mid-stream.  Raises ``RuntimeError`` after :meth:`close`
+        and ``TimeoutError`` when no report lands in time.
         """
-        if self._closed:
-            raise RuntimeError("FrameClient is closed; health() after close()")
-        if not self._negotiated or self._server_version < 2:
-            raise RuntimeError(
-                "health probes need a negotiated protocol-v2 connection"
-            )
+        self._check_open("health")
         self._sock.sendall(_ENVELOPE.pack(_ENV_HEALTH, 0, 0))
         deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
         while not self._health_reports:
@@ -1317,11 +1237,9 @@ class FrameClient:
     def wait_acked(self, timeout: Optional[float] = None) -> None:
         """Block until every sent data envelope has been acked.
 
-        No-op on a legacy connection.  Useful before :meth:`close` when
-        the caller wants delivery (not just transmission) confirmed.
+        Useful before :meth:`close` when the caller wants delivery (not
+        just transmission) confirmed.
         """
-        if not self._negotiated:
-            return
         deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
         while self._acked < self._seq:
             self._drain_acks(deadline=deadline)
@@ -1329,18 +1247,17 @@ class FrameClient:
     def close(self) -> None:
         """Shut the connection down cleanly.  Idempotent.
 
-        A negotiated connection sends the BYE envelope first so the
-        server can tell a clean goodbye from a mid-frame death.  After
-        ``close()``, :meth:`send` raises ``RuntimeError``.
+        Sends the BYE envelope first so the server can tell a clean
+        goodbye from a mid-frame death.  After ``close()``, :meth:`send`
+        raises ``RuntimeError``.
         """
         if self._closed:
             return
         self._closed = True
-        if self._negotiated:
-            try:
-                self._sock.sendall(_ENVELOPE.pack(_ENV_BYE, 0, 0))
-            except OSError:
-                pass
+        try:
+            self._sock.sendall(_ENVELOPE.pack(_ENV_BYE, 0, 0))
+        except OSError:
+            pass
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:

@@ -152,9 +152,8 @@ class SignatureNovelty:
     evidence).  :meth:`frame_priority` decodes a wire frame and returns
     :data:`PRIORITY_EXEMPLAR` when any synopsis in it carries an unseen
     signature, else :data:`PRIORITY_SAMPLED` — a valid ``priority_fn``
-    for :class:`~repro.shard.server.FrameClient`, and the server-side
-    classifier for legacy (priority-less) connections when a model is
-    available.
+    for :class:`~repro.shard.server.FrameClient`, which declares the
+    priority in each data envelope for the server's shedder.
     """
 
     def __init__(self, known: Dict[int, Set[FrozenSet[int]]]):

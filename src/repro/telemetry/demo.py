@@ -11,14 +11,48 @@ edge telemetry + a wire health probe), and an elastic-fleet pass
 exercises every metric family in the catalog (docs/OPERATIONS.md §4),
 so the catalog test treats its registry as the ground-truth metric
 inventory.
+
+``python -m repro shard`` and ``python -m repro fleet`` draw their
+synthetic workload from :func:`demo_trace` instead.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import tempfile
 
-__all__ = ["demo_deployment", "demo_registry"]
+__all__ = ["demo_deployment", "demo_registry", "demo_trace"]
+
+_DEMO_STAGES = (1, 2, 3, 5, 8, 13)
+
+
+def demo_trace(tasks: int, anomalous: bool = False):
+    """A deterministic multi-stage synthetic trace (no wall clock).
+
+    ``anomalous`` plants a novel-signature burst on stage 5 in the
+    second half; the fault-free trace is what the demos train on.
+    """
+    from repro.core import TaskSynopsis
+
+    rng = random.Random(42 if anomalous else 7)
+    out = []
+    for i in range(tasks):
+        stage = _DEMO_STAGES[i % len(_DEMO_STAGES)]
+        lps = (stage, stage + 1, stage + 3)
+        if anomalous and stage == 5 and i > tasks // 2 and i % 2:
+            lps = (stage, stage + 1, stage + 2, stage + 3)
+        out.append(
+            TaskSynopsis(
+                host_id=i % 2,
+                stage_id=stage,
+                uid=i,
+                start_time=i * 0.01,
+                duration=0.01 * rng.lognormvariate(0, 0.3),
+                log_points={lp: 1 for lp in lps},
+            )
+        )
+    return out
 
 
 def _emit_task(node, log, clock, stage, i, lps, retry=False):
@@ -146,7 +180,6 @@ def demo_deployment():
             pool.dispatch_frame,
             registry=saad.registry,
             shedder=shedder,
-            classify=novelty.frame_priority,
             federation=saad.registry.federation(),
             health=saad.health,
         ) as server:

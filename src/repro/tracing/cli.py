@@ -34,16 +34,6 @@ from typing import List, Optional
 from .export import read_chrome_trace, write_chrome_trace
 
 
-def _demo_traces():
-    """Captured traces + name maps from the shared demo deployment."""
-    from repro.telemetry.demo import demo_deployment
-
-    saad = demo_deployment()
-    stage_names = {stage.stage_id: stage.name for stage in saad.stages}
-    templates = {point.lpid: point.template for point in saad.logpoints}
-    return saad.tracer, stage_names, saad.host_names, templates
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro trace``; returns an exit code."""
     argv = list(argv or [])
@@ -110,8 +100,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         templates = archive.templates
         source = paths[0]
     else:
-        tracer, stage_names, host_names, templates = _demo_traces()
-        traces = tracer.traces()
+        from repro.telemetry.demo import demo_deployment
+
+        saad = demo_deployment()
+        traces = saad.tracer.traces()
+        stage_names = {stage.stage_id: stage.name for stage in saad.stages}
+        host_names = saad.host_names
+        templates = {point.lpid: point.template for point in saad.logpoints}
         source = "live demo deployment"
 
     total = len(traces)

@@ -114,27 +114,33 @@ class TestHealthyCluster:
         assert normal in signatures
 
 
+def run_with_wal_error(intensity, until=120.0, fault_start=30.0):
+    cluster = make_cluster()
+    pool = start_clients(cluster)
+    schedule = cluster.fault_schedule_for("host4")
+    schedule.add(fault_start, until, FaultSpec("wal", "error", intensity, host="host4"))
+    schedule.start()
+    cluster.run(until=until)
+    return cluster, pool
+
+
+@pytest.fixture(scope="class")
+def high_wal_error():
+    """The 120 s high-intensity WAL-error run, shared by the read-only tests."""
+    cluster, _pool = run_with_wal_error(HIGH_INTENSITY)
+    return cluster
+
+
 class TestWalErrorFault:
     """Paper Sec. 5.4.1: error on appending to WAL."""
 
-    def run_with_fault(self, intensity, until=120.0, fault_start=30.0):
-        cluster = make_cluster()
-        pool = start_clients(cluster)
-        schedule = cluster.fault_schedule_for("host4")
-        schedule.add(
-            fault_start, until, FaultSpec("wal", "error", intensity, host="host4")
-        )
-        schedule.start()
-        cluster.run(until=until)
-        return cluster, pool
-
-    def test_high_intensity_wedges_commitlog(self):
-        cluster, _pool = self.run_with_fault(HIGH_INTENSITY)
+    def test_high_intensity_wedges_commitlog(self, high_wal_error):
+        cluster = high_wal_error
         assert cluster.nodes["host4"].wal_wedged
         assert cluster.nodes["host4"].freeze_gate.is_closed
 
-    def test_high_intensity_produces_frozen_only_signatures(self):
-        cluster, _pool = self.run_with_fault(HIGH_INTENSITY)
+    def test_high_intensity_produces_frozen_only_signatures(self, high_wal_error):
+        cluster = high_wal_error
         lps = cluster.lps
         frozen_only = frozenset({lps.table_frozen.lpid})
         after = [
@@ -144,15 +150,15 @@ class TestWalErrorFault:
         ]
         assert frozen_only in {s.signature for s in after}
 
-    def test_healthy_hosts_unaffected_in_table_stage(self):
-        cluster, _pool = self.run_with_fault(HIGH_INTENSITY)
+    def test_healthy_hosts_unaffected_in_table_stage(self, high_wal_error):
+        cluster = high_wal_error
         lps = cluster.lps
         frozen_only = frozenset({lps.table_frozen.lpid})
         host1 = {s.signature for s in stage_synopses(cluster, "Table", "host1")}
         assert frozen_only not in host1
 
-    def test_peers_store_hints_for_failed_node(self):
-        cluster, _pool = self.run_with_fault(HIGH_INTENSITY)
+    def test_peers_store_hints_for_failed_node(self, high_wal_error):
+        cluster = high_wal_error
         hints = sum(
             node.hints.get("host4", 0) + sum(node.hints.values()) * 0
             for node in cluster.node_list
@@ -164,14 +170,14 @@ class TestWalErrorFault:
         assert hints > 0 or total > 0
 
     def test_low_intensity_keeps_throughput(self):
-        cluster, pool = self.run_with_fault(LOW_INTENSITY, until=90.0, fault_start=30.0)
+        cluster, pool = run_with_wal_error(LOW_INTENSITY, until=90.0, fault_start=30.0)
         before = pool.meter.mean_throughput(5.0, 30.0)
         during = pool.meter.mean_throughput(30.0, 90.0)
         assert not cluster.nodes["host4"].wal_wedged
         assert during > 0.8 * before
 
     def test_low_intensity_increases_frozen_flow(self):
-        cluster, _pool = self.run_with_fault(LOW_INTENSITY, until=150.0, fault_start=60.0)
+        cluster, _pool = run_with_wal_error(LOW_INTENSITY, until=150.0, fault_start=60.0)
         lps = cluster.lps
         before = [
             s for s in stage_synopses(cluster, "Table", "host4") if s.start_time < 60.0
@@ -188,7 +194,7 @@ class TestWalErrorFault:
         assert frozen_share(during) > frozen_share(before) + 0.02
 
     def test_memory_pressure_eventually_crashes_node(self):
-        cluster, _pool = self.run_with_fault(HIGH_INTENSITY, until=1200.0)
+        cluster, _pool = run_with_wal_error(HIGH_INTENSITY, until=1200.0)
         assert not cluster.nodes["host4"].alive
         # Other nodes survive.
         assert all(cluster.nodes[n].alive for n in ("host1", "host2", "host3"))
@@ -229,32 +235,36 @@ class TestWalDelayFault:
         assert frozen_only not in sigs
 
 
+def make_busy_cluster():
+    config = CassandraConfig(memtable_flush_bytes=256 * 1024)
+    cluster = make_cluster(config=config)
+    pool = start_clients(cluster, n_clients=16, think=0.02)
+    return cluster, pool
+
+
+@pytest.fixture(scope="class")
+def flush_error():
+    """The 180 s flush-error run on host4, shared by the read-only tests."""
+    cluster, _pool = make_busy_cluster()
+    cluster.sim_cluster["host4"].fault_injector.arm(
+        FaultSpec("sstable", "error", HIGH_INTENSITY, host="host4")
+    )
+    cluster.run(until=180.0)
+    return cluster
+
+
 class TestFlushFaults:
     """Paper Sec. 5.4.1/5.4.2: error/delay on flushing MemTables."""
 
-    def make_busy_cluster(self):
-        config = CassandraConfig(memtable_flush_bytes=256 * 1024)
-        cluster = make_cluster(config=config)
-        pool = start_clients(cluster, n_clients=16, think=0.02)
-        return cluster, pool
-
-    def test_flush_error_leaves_memtables_pending(self):
-        cluster, _pool = self.make_busy_cluster()
-        cluster.sim_cluster["host4"].fault_injector.arm(
-            FaultSpec("sstable", "error", HIGH_INTENSITY, host="host4")
-        )
-        cluster.run(until=180.0)
+    def test_flush_error_leaves_memtables_pending(self, flush_error):
+        cluster = flush_error
         host4 = cluster.nodes["host4"]
         others = [cluster.nodes[n] for n in ("host1", "host2", "host3")]
         assert len(host4.store.pending_flushes) >= 2
         assert all(len(n.store.pending_flushes) <= 1 for n in others)
 
-    def test_flush_error_logs_retry_flow(self):
-        cluster, _pool = self.make_busy_cluster()
-        cluster.sim_cluster["host4"].fault_injector.arm(
-            FaultSpec("sstable", "error", HIGH_INTENSITY, host="host4")
-        )
-        cluster.run(until=180.0)
+    def test_flush_error_logs_retry_flow(self, flush_error):
+        cluster = flush_error
         lps = cluster.lps
         retried = [
             s
@@ -264,7 +274,7 @@ class TestFlushFaults:
         assert retried
 
     def test_flush_delay_slows_flush_tasks(self):
-        cluster, _pool = self.make_busy_cluster()
+        cluster, _pool = make_busy_cluster()
         cluster.sim_cluster["host4"].fault_injector.arm(
             FaultSpec("sstable", "delay", HIGH_INTENSITY, host="host4")
         )

@@ -38,10 +38,25 @@ def stage_synopses(cluster, stage_name, host_name=None):
     ]
 
 
+@pytest.fixture(scope="module")
+def sustained_writes():
+    """One loaded cluster run for 300 s, shared by the read-only tests below.
+
+    The tests on this scenario only inspect the run, so simulating it once
+    gives each of them the state its own copy would reach.  The run pauses
+    at 120 s to keep that moment's GCInspector synopses: a paused run
+    resumes exactly as an uninterrupted one.
+    """
+    cluster, _pool = make_loaded_cluster()
+    cluster.run(until=120.0)
+    gc_tasks_at_120s = stage_synopses(cluster, "GCInspector")
+    cluster.run(until=300.0)
+    return cluster, gc_tasks_at_120s
+
+
 class TestCompactionManager:
-    def test_compactions_run_under_sustained_writes(self):
-        cluster, _pool = make_loaded_cluster()
-        cluster.run(until=300.0)
+    def test_compactions_run_under_sustained_writes(self, sustained_writes):
+        cluster, _gc_tasks = sustained_writes
         total = sum(n.store.compactions_completed for n in cluster.node_list)
         assert total > 0
         lps = cluster.lps
@@ -52,26 +67,23 @@ class TestCompactionManager:
         ]
         assert compacted_tasks
 
-    def test_sstable_count_stays_bounded(self):
-        cluster, _pool = make_loaded_cluster()
-        cluster.run(until=300.0)
+    def test_sstable_count_stays_bounded(self, sustained_writes):
+        cluster, _gc_tasks = sustained_writes
         for node in cluster.node_list:
             # Compaction keeps the table count near the threshold.
             assert len(node.store.sstables) <= 2 * node.store.compaction_threshold + 2
 
 
 class TestCommitLogStage:
-    def test_wal_segments_get_trimmed(self):
-        cluster, _pool = make_loaded_cluster()
-        cluster.run(until=300.0)
+    def test_wal_segments_get_trimmed(self, sustained_writes):
+        cluster, _gc_tasks = sustained_writes
         for node in cluster.node_list:
             assert node.store.wal.total_trims > 0
             # Pending WAL data stays bounded when flushes keep up.
             assert node.store.wal.pending_bytes < 16 * 1024 * 1024
 
-    def test_commitlog_stage_has_discard_flow(self):
-        cluster, _pool = make_loaded_cluster()
-        cluster.run(until=300.0)
+    def test_commitlog_stage_has_discard_flow(self, sustained_writes):
+        cluster, _gc_tasks = sustained_writes
         lps = cluster.lps
         discards = [
             s
@@ -82,11 +94,9 @@ class TestCommitLogStage:
 
 
 class TestGCInspector:
-    def test_healthy_cluster_logs_parnew_only(self):
-        cluster, _pool = make_loaded_cluster()
-        cluster.run(until=120.0)
+    def test_healthy_cluster_logs_parnew_only(self, sustained_writes):
+        cluster, gc_tasks = sustained_writes
         lps = cluster.lps
-        gc_tasks = stage_synopses(cluster, "GCInspector")
         assert gc_tasks
         assert all(lps.gc_parnew.lpid in s.signature for s in gc_tasks)
         assert not any(lps.gc_oom.lpid in s.signature for s in gc_tasks)

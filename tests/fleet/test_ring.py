@@ -68,9 +68,9 @@ class TestMovement:
     def test_static_partitioner_would_move_almost_everything(self):
         # The motivating comparison: modulo placement remaps ~all
         # stages when the pool grows by one; the ring moves ~1/N.
-        from repro.shard.partition import shard_table
-
-        modulo_moved = HashRing.moved(shard_table(3), shard_table(4))
+        modulo_moved = HashRing.moved(
+            [s % 3 for s in range(256)], [s % 4 for s in range(256)]
+        )
         ring = HashRing(["node-0", "node-1", "node-2"])
         before = list(ring.table())
         ring.add("node-3")

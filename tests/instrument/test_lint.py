@@ -483,58 +483,6 @@ class TestSH001:
         ) == []
 
 
-@pytest.mark.lint
-class TestFL001:
-    def test_bare_partition_call_in_fleet_package_flagged(self):
-        diags = lint_source(
-            "from repro.shard.partition import shard_for\n"
-            "def route(stage_id, members):\n"
-            "    return shard_for(stage_id, len(members))\n",
-            path="repro/fleet/router.py",
-        )
-        assert rules_of(diags) == ["FL001"]
-        assert "HashRing" in diags[0].hint
-
-    def test_attribute_form_flagged(self):
-        diags = lint_source(
-            "import repro.shard.partition as partition\n"
-            "def table_for(members):\n"
-            "    return partition.shard_table(len(members))\n",
-            path="fleet/router.py",
-        )
-        assert rules_of(diags) == ["FL001"]
-
-    def test_ring_routing_ok(self):
-        assert lint_source(
-            "def route(ring, stage_id):\n"
-            "    return ring.owner(stage_id), ring.table()\n",
-            path="repro/fleet/router.py",
-        ) == []
-
-    def test_out_of_scope_package_ignored(self):
-        # The shard coordinator itself may build the legacy table.
-        assert lint_source(
-            "def table_for(shards):\n"
-            "    return shard_table(shards)\n",  # noqa fixture
-            path="repro/shard/partition_compat.py",
-        ) == []
-
-    def test_advisory_severity(self):
-        diags = lint_source(
-            "def route(stage_id, n):\n"
-            "    return shard_for(stage_id, n)\n",
-            path="fleet/router.py",
-        )
-        assert diags[0].severity_name == "warning"
-
-    def test_suppression_comment(self):
-        assert lint_source(
-            "def route(stage_id, n):\n"
-            "    return shard_for(stage_id, n)  # saadlint: disable=FL001\n",
-            path="fleet/router.py",
-        ) == []
-
-
 class TestCP001:
     def test_observe_loop_in_shard_package_flagged(self):
         diags = lint_source(
@@ -631,8 +579,6 @@ class TestSeededDefectTree:
         ("SH001", "seeded_shard.py", 14),
         ("SH001", "seeded_shard.py", 20),
         ("CP001", "seeded_shard.py", 31),
-        ("FL001", "seeded_fleet.py", 13),
-        ("FL001", "seeded_fleet.py", 19),
         ("CP001", "seeded_bench.py", 14),
         ("AS001", "seeded_concurrency.py", 23),  # handle -> _drain -> sleep
         ("RC001", "seeded_concurrency.py", 42),  # _spin writes sans lock

@@ -103,6 +103,7 @@ class TestAccounting:
 class TestPartitionMap:
     def test_cli_prints_the_map_dispatch_routes_by(self, model, capsys):
         from repro.shard import cli
+        from repro.telemetry.demo import demo_trace
 
         from .conftest import make_synopsis
 
@@ -113,7 +114,7 @@ class TestPartitionMap:
                 r"stage +(\d+) -> shard (\d+)", capsys.readouterr().out
             )
         }
-        assert sorted(printed) == sorted(cli._DEMO_STAGES)
+        assert sorted(printed) == sorted({s.stage_id for s in demo_trace(3000)})
         expected = dict.fromkeys(range(4), 0)
         with ShardedAnalyzer(model, 4) as pool:
             for stage, shard in printed.items():

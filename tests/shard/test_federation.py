@@ -207,11 +207,12 @@ class TestTelemetryFederationOverTheWire:
             with FrameClient(server.address) as client:
                 with pytest.raises(ValueError):
                     client.send_telemetry()  # no source, no families
-            with FrameClient(server.address, negotiate=False) as legacy:
-                with pytest.raises(RuntimeError):
-                    legacy.send_telemetry(families=[])
-                with pytest.raises(RuntimeError):
-                    legacy.health()
+            closed = FrameClient(server.address)
+            closed.close()
+            with pytest.raises(RuntimeError, match="close"):
+                closed.send_telemetry(families=[])
+            with pytest.raises(RuntimeError, match="close"):
+                closed.health()
 
 
 class TestHealthProbes:

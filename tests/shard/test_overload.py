@@ -243,9 +243,37 @@ class TestShedding:
             == _counter(registry, "shard_server_frames") - dropped
         )
 
+    def test_novelty_classified_frames_survive_shedding(self, model):
+        registry = MetricsRegistry()
+        novelty = SignatureNovelty.from_model(model)
+        frame = encode_frame(make_trace(40))
+        rare = make_synopsis(1, 0, 1, 0.0, 0.01, (1, 2, 4, 65_000))
+        novel_frame = encode_frame([rare])
+        gate = _Gate()
+        shedder = LoadShedder(2 * len(frame), 1 << 22, registry=registry)
+        server = SynopsisServer(
+            gate.sink,
+            registry=registry,
+            high_watermark=1 << 22,
+            shedder=shedder,
+        )
+        with server, FrameClient(
+            server.address, priority_fn=novelty.frame_priority
+        ) as client:
+            for _ in range(4):
+                client.send(frame)  # routine traffic fills the backlog
+            _wait_for(lambda: server.pending_bytes >= 2 * len(frame))
+            for _ in range(3):
+                client.send(frame)  # classified sampled -> shed
+            client.send(novel_frame)  # classified exemplar -> admitted
+            _wait_for(lambda: shedder.drops()["sampled"] >= 3)
+            gate.open.set()
+            _wait_for(lambda: novel_frame in gate.delivered)
+        assert shedder.drops()["exemplar"] == 0
+
 
 class TestCompression:
-    def test_negotiated_compression_round_trips(self):
+    def test_compression_round_trips(self):
         frame = encode_frame(make_trace(200))
         registry = MetricsRegistry()
         delivered = []
@@ -319,55 +347,6 @@ class TestFrameClientCloseContract:
             client.close()
             with pytest.raises(RuntimeError, match="close"):
                 client.send(encode_frame(make_trace(2)))
-
-    def test_legacy_client_close_contract_matches(self):
-        with SynopsisServer(lambda frame: None) as server:
-            client = FrameClient(server.address, negotiate=False)
-            client.close()
-            client.close()
-            with pytest.raises(RuntimeError, match="close"):
-                client.send(b"\x00")
-
-
-class TestLegacyInterop:
-    def test_unnegotiated_client_speaks_raw_frames(self):
-        synopses = make_trace(80)
-        registry = MetricsRegistry()
-        delivered = []
-        with SynopsisServer(delivered.append, registry=registry) as server:
-            with FrameClient(server.address, registry=registry, negotiate=False) as c:
-                assert c.credit == 0
-                c.send(encode_frame(synopses))
-            _wait_for(lambda: len(delivered) == 1)
-        assert delivered[0] == encode_frame(synopses)
-        assert _counter(registry, "server_credits_granted") == 0
-
-    def test_legacy_frames_classified_by_server_model(self, model):
-        registry = MetricsRegistry()
-        novelty = SignatureNovelty.from_model(model)
-        frame = encode_frame(make_trace(40))
-        rare = make_synopsis(1, 0, 1, 0.0, 0.01, (1, 2, 4, 65_000))
-        novel_frame = encode_frame([rare])
-        gate = _Gate()
-        shedder = LoadShedder(2 * len(frame), 1 << 22, registry=registry)
-        server = SynopsisServer(
-            gate.sink,
-            registry=registry,
-            high_watermark=1 << 22,
-            shedder=shedder,
-            classify=novelty.frame_priority,
-        )
-        with server, FrameClient(server.address, negotiate=False) as client:
-            for _ in range(4):
-                client.send(frame)  # routine traffic fills the backlog
-            _wait_for(lambda: server.pending_bytes >= 2 * len(frame))
-            for _ in range(3):
-                client.send(frame)  # classified sampled -> shed
-            client.send(novel_frame)  # classified exemplar -> admitted
-            _wait_for(lambda: shedder.drops()["sampled"] >= 3)
-            gate.open.set()
-            _wait_for(lambda: novel_frame in gate.delivered)
-        assert shedder.drops()["exemplar"] == 0
 
 
 class TestFacadeOverloadWiring:

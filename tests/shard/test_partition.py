@@ -3,40 +3,24 @@
 import pytest
 
 from repro.core.synopsis import decode_batch, encode_batch
-from repro.shard import route_payload, shard_for, shard_table
+from repro.shard import ShardedAnalyzer, route_payload, shard_table
 
 from .conftest import make_trace
 
 pytestmark = pytest.mark.shard
 
 
-class TestShardFor:
-    def test_deterministic_and_in_range(self):
-        for shards in (1, 2, 3, 4, 7, 16):
-            for stage in range(256):
-                shard = shard_for(stage, shards)
-                assert 0 <= shard < shards
-                assert shard == shard_for(stage, shards)
-
-    def test_single_shard_maps_everything_to_zero(self):
-        assert {shard_for(stage, 1) for stage in range(256)} == {0}
-
-    def test_spreads_stages_across_shards(self):
-        # The Fibonacci mix must not collapse small consecutive stage
-        # ids (the common case) onto one shard.
-        assigned = {shard_for(stage, 4) for stage in range(16)}
-        assert assigned == {0, 1, 2, 3}
+class TestShardTable:
+    def test_table_matches_pool_routing(self, model):
+        for shards in (1, 2, 3, 4):
+            table = shard_table(shards)
+            assert len(table) == 256
+            with ShardedAnalyzer(model, shards) as pool:
+                assert table == [pool.shard_of(stage) for stage in range(256)]
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError):
-            shard_for(1, 0)
-        with pytest.raises(ValueError):
-            shard_for(1, -2)
-
-    def test_table_matches_function(self):
-        table = shard_table(5)
-        assert len(table) == 256
-        assert table == [shard_for(stage, 5) for stage in range(256)]
+            shard_table(0)
 
 
 class TestRoutePayload:
