@@ -8,15 +8,19 @@ a small provider interface:
 * :class:`RealThreadContext` — backed by :mod:`threading` locals; used when
   SAAD instruments an actual Python application.
 * :class:`SimThreadContext` — backed by the simulation environment's active
-  :class:`~repro.simsys.threads.SimThread`; supports exit hooks, which model
-  Java's ``finalize()``-based task-termination inference for the
-  dispatcher-worker staging model.
+  :class:`~repro.simsys.threads.SimThread`.
+
+Both support exit hooks, which model Java's ``finalize()``-based
+task-termination inference for the dispatcher-worker staging model.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
+
+_EXIT_KEY = "saad.thread_exit"
 
 
 class ThreadContextProvider:
@@ -40,23 +44,58 @@ class ThreadContextProvider:
         return False
 
 
+class _ThreadExit:
+    """Sentinel kept in a thread's local dict; runs its hooks when freed.
+
+    A thread's :class:`threading.local` dict is released when the thread
+    dies, which frees the sentinel and fires the hooks — the Python
+    counterpart of the Java ``finalize()`` the paper relies on.  (The
+    dict is also released if the ``threading.local`` itself is
+    collected first.)
+    """
+
+    __slots__ = ("hooks",)
+
+    def __init__(self) -> None:
+        self.hooks: List[Callable[[], None]] = []
+
+    def __del__(self) -> None:
+        for hook in self.hooks:
+            hook()
+
+
 class RealThreadContext(ThreadContextProvider):
-    """Thread-local storage on real Python threads."""
+    """Thread-local storage on real Python threads.
+
+    ``slot`` is an instance attribute, not a method: a C-level partial
+    that fetches the calling thread's ``threading.local`` dict (created
+    on first access), so the tracker's per-log-call path runs no Python
+    frame to find its task.
+    """
 
     def __init__(self) -> None:
         self._local = threading.local()
-
-    def slot(self) -> Dict[str, Any]:
-        """This thread's private dict (created on first access)."""
-        store = getattr(self._local, "store", None)
-        if store is None:
-            store = {}
-            self._local.store = store
-        return store
+        self.slot: Callable[[], Dict[str, Any]] = partial(
+            getattr, self._local, "__dict__"
+        )
 
     def thread_name(self) -> str:
         """Name of the current OS thread."""
         return threading.current_thread().name
+
+    def register_exit_hook(self, hook: Callable[[], None]) -> bool:
+        """Run ``hook`` when the current thread dies (always possible here).
+
+        The hook must not hold this thread's slot dict: the dict holds
+        the sentinel, and a cycle through it would wait for the garbage
+        collector instead of firing at thread death.
+        """
+        store = self._local.__dict__
+        sentinel = store.get(_EXIT_KEY)
+        if sentinel is None:
+            sentinel = store[_EXIT_KEY] = _ThreadExit()
+        sentinel.hooks.append(hook)
+        return True
 
 
 class SimThreadContext(ThreadContextProvider):

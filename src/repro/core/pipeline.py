@@ -92,7 +92,13 @@ class NodeRuntime:
         self.tracker.set_context(stage.stage_id)
 
     def end_task(self) -> Optional[TaskSynopsis]:
-        """Explicitly finalize the current thread's open task."""
+        """Explicitly finalize the current thread's open task.
+
+        Returns its :class:`TaskSynopsis` when one was built, and None
+        when the task went straight to the stream's wire frame (a
+        ``wire_format`` stream nothing reads objects from) or no task
+        was open.
+        """
         return self.tracker.end_task()
 
     def connect(

@@ -8,10 +8,13 @@ batch encoded synopses into length-prefixed frames (see
 
 Hot-path note: with ``wire_format=True`` each synopsis is encoded exactly
 once — the encoded payload is buffered for the next frame flush while the
-in-memory object flows on to subscribers.  (The old implementation
-encoded *and* re-decoded every synopsis inline, doing the codec work
-twice per task.)  Wire-level fidelity is covered by the codec round-trip
-property tests instead of a per-task decode.
+in-memory object flows on to subscribers.  When nothing reads objects
+(no ``retain``, no subscribers, no tracer), the tracker skips the object
+altogether and hands a finished task's fields to
+:meth:`SynopsisStream.sink_fields`.  One lock per stream makes the node
+edge safe on real threads; it is taken once per task, never per log
+call.  Wire-level fidelity is covered by the codec round-trip property
+tests instead of a per-task decode.
 
 Telemetry: both classes keep their accounting in plain private ints
 (the sink runs once per task) and register callback-backed counters
@@ -34,8 +37,9 @@ or use of a :class:`LazySynopses` return value.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.telemetry import MetricsRegistry
 
@@ -46,6 +50,7 @@ from .synopsis import (
     MAX_UID,
     TaskSynopsis,
     decode_frame,
+    encode_fields,
 )
 
 Subscriber = Callable[[TaskSynopsis], None]
@@ -149,6 +154,9 @@ class SynopsisStream:
         self.flush_size = flush_size
         self.synopses: List[TaskSynopsis] = []
         self.subscribers: List[Subscriber] = []
+        # Reentrant: sink_fields flushes while holding it, and a
+        # frame_sink may reach back into this stream on the same thread.
+        self._lock = threading.RLock()
         self.frame_sink = frame_sink
         self.registry = registry if registry is not None else MetricsRegistry()
         self._count = 0
@@ -229,54 +237,98 @@ class SynopsisStream:
 
     @frame_sink.setter
     def frame_sink(self, sink: Optional[FrameSink]) -> None:
-        self._frame_sink = sink
+        with self._lock:
+            self._frame_sink = sink
         owner = getattr(sink, "__self__", None)
         if isinstance(owner, SynopsisCollector):
             owner.detach_objects(self)
 
     def sink(self, synopsis: TaskSynopsis) -> None:
-        """The tracker's sink callable: account, buffer, fan out."""
-        self._count += 1
+        """The tracker's sink callable: account, buffer, fan out.
+
+        The object route.  A tracker whose ``sink`` is this method hands
+        finished tasks to :meth:`sink_fields` instead, building no
+        :class:`TaskSynopsis`, whenever nothing here reads objects:
+        ``wire_format`` on, ``retain`` off, no ``subscribers`` (and the
+        tracker's tracer off).  Both routes encode with the same
+        :func:`~repro.core.synopsis.encode_fields`, so they flush
+        byte-identical frames.  Thread-safe: the stream's lock guards
+        the count, the byte totals, the pending list and the flush.
+        """
         if self.wire_format:
-            try:
-                payload = synopsis.encode()
-            except ValueError:
-                # Unencodable synopsis (uid past 32 bits, negative/huge
-                # timestamp from clock skew, >255 log points): drop it
-                # from the wire, count it, keep the node alive.  The
-                # in-memory object still reaches subscribers below.
-                self._m_dropped.inc()
-                if not 0 <= synopsis.uid <= MAX_UID:
-                    self._m_uid_range.inc()
-            else:
-                self._bytes_streamed += len(payload)
-                self._pending.append(payload)
-                if len(self._pending) >= self.flush_size:
-                    self.flush_wire()
+            self.sink_fields(
+                synopsis.host_id,
+                synopsis.stage_id,
+                synopsis.uid,
+                synopsis.start_time,
+                synopsis.duration,
+                synopsis.log_points,
+            )
         else:
-            self._bytes_streamed += synopsis.encoded_size()
+            with self._lock:
+                self._count += 1
+                self._bytes_streamed += synopsis.encoded_size()
         if self.retain:
             self.synopses.append(synopsis)
         for subscriber in self.subscribers:
             subscriber(synopsis)
+
+    def sink_fields(
+        self,
+        host_id: int,
+        stage_id: int,
+        uid: int,
+        start_time: float,
+        duration: float,
+        log_points: Dict[int, int],
+    ) -> None:
+        """Encode one finished task from its fields and buffer it for
+        the next frame (``wire_format`` streams only).
+
+        A task whose fields do not fit the wire format (uid past 32
+        bits, negative/huge timestamp from clock skew, >255 log points)
+        is counted and dropped from the wire instead of crashing the
+        producing thread.  The encode runs outside the lock; appending,
+        accounting and any flush it triggers run under it, so frames
+        reach ``frame_sink`` one at a time, in flush order.
+        """
+        try:
+            payload = encode_fields(host_id, stage_id, uid, start_time, duration, log_points)
+        except ValueError:
+            with self._lock:
+                self._count += 1
+            self._m_dropped.inc()
+            if not 0 <= uid <= MAX_UID:
+                self._m_uid_range.inc()
+            return
+        with self._lock:
+            self._count += 1
+            self._bytes_streamed += len(payload)
+            pending = self._pending
+            pending.append(payload)
+            if len(pending) >= self.flush_size:
+                self.flush_wire()
 
     def flush_wire(self) -> bytes:
         """Frame and flush the pending encoded synopses; returns the frame.
 
         Returns ``b""`` when nothing is pending.  Called automatically
         every ``flush_size`` synopses; call explicitly at end of stream.
+        Holds the stream's lock through the ``frame_sink`` call.
         """
-        if not self._pending:
-            return b""
-        payload = b"".join(self._pending)
-        frame = FRAME_HEADER.pack(len(payload), len(self._pending)) + payload
-        self._pending.clear()
-        self._frames_flushed += 1
-        self._frame_bytes += len(frame)
-        frame_sink = self._frame_sink
-        if frame_sink is not None:
-            frame_sink(frame)
-        return frame
+        with self._lock:
+            pending = self._pending
+            if not pending:
+                return b""
+            payload = b"".join(pending)
+            frame = FRAME_HEADER.pack(len(payload), len(pending)) + payload
+            pending.clear()
+            self._frames_flushed += 1
+            self._frame_bytes += len(frame)
+            frame_sink = self._frame_sink
+            if frame_sink is not None:
+                frame_sink(frame)
+            return frame
 
     @property
     def pending_wire_count(self) -> int:

@@ -38,8 +38,12 @@ MAX_TS_MS = 0xFFFFFFFFFFFFFFFF
 _MAX_COUNT = 2**31 - 1
 
 # Entry arrays are packed/unpacked in one struct call per synopsis rather
-# than one per entry; the per-length Struct objects are cached here.
+# than one per entry, and a whole record (header + entries) is packed in
+# one call too; the per-length Struct objects are cached here.  Both
+# caches are keyed by an entry count that fits the header's count byte,
+# so each holds at most 256 layouts.
 _ENTRY_ARRAYS: Dict[int, struct.Struct] = {}
+_RECORDS: Dict[int, struct.Struct] = {}
 
 
 def _entry_array(n: int) -> struct.Struct:
@@ -47,6 +51,55 @@ def _entry_array(n: int) -> struct.Struct:
     if cached is None:
         cached = _ENTRY_ARRAYS.setdefault(n, struct.Struct("<" + "Hi" * n))
     return cached
+
+
+def _record(n: int) -> struct.Struct:
+    cached = _RECORDS.get(n)
+    if cached is None:
+        cached = _RECORDS.setdefault(n, struct.Struct(_HEADER.format + "Hi" * n))
+    return cached
+
+
+def encode_fields(
+    host_id: int,
+    stage_id: int,
+    uid: int,
+    start_time: float,
+    duration: float,
+    log_points: Dict[int, int],
+) -> bytes:
+    """The wire form of one synopsis, straight from its fields.
+
+    The one synopsis encoder: :meth:`TaskSynopsis.encode` delegates here,
+    and the tracker calls it without building a :class:`TaskSynopsis`
+    when nothing downstream reads objects.  Raises ``ValueError`` for a
+    field the wire format cannot carry (more than 255 log points, a uid
+    past 32 bits, a start time outside the 64-bit millisecond field, a
+    log point id past a short); a duration or visit count past 2**31-1
+    is clamped.  ``host_id`` and ``stage_id`` are not checked here: a
+    value past a byte raises ``struct.error``.
+    """
+    n = len(log_points)
+    if n > MAX_LOG_POINT_ENTRIES:
+        raise ValueError(f"too many distinct log points ({n}) for one synopsis")
+    if uid < 0 or uid > MAX_UID:
+        raise ValueError(f"uid {uid} does not fit the 32-bit wire field")
+    ts_ms = int(start_time * 1000)
+    if ts_ms < 0 or ts_ms > MAX_TS_MS:
+        raise ValueError(f"start_time {start_time} does not fit the 64-bit wire field")
+    lpids = sorted(log_points)
+    if n and (lpids[0] < 0 or lpids[-1] > 0xFFFF):
+        bad = lpids[0] if lpids[0] < 0 else lpids[-1]
+        raise ValueError(f"log point id {bad} does not fit a short")
+    duration_us = int(duration * 1_000_000)
+    if duration_us > _MAX_COUNT:
+        duration_us = _MAX_COUNT
+    flat = [host_id, stage_id, uid, ts_ms, duration_us, n]
+    for lpid in lpids:
+        count = log_points[lpid]
+        flat.append(lpid)
+        flat.append(count if count <= _MAX_COUNT else _MAX_COUNT)
+    return _record(n).pack(*flat)
 
 
 #: Public aliases of the packed layouts for zero-copy consumers: the
@@ -121,37 +174,14 @@ class TaskSynopsis:
     # -- codec ---------------------------------------------------------------
     def encode(self) -> bytes:
         """Binary wire form (little-endian, paper Sec. 4.1 layout)."""
-        entries = sorted(self.log_points.items())
-        n = len(entries)
-        if n > MAX_LOG_POINT_ENTRIES:
-            raise ValueError(
-                f"too many distinct log points ({n}) for one synopsis"
-            )
-        if self.uid < 0 or self.uid > MAX_UID:
-            raise ValueError(f"uid {self.uid} does not fit the 32-bit wire field")
-        ts_ms = int(self.start_time * 1000)
-        if ts_ms < 0 or ts_ms > MAX_TS_MS:
-            raise ValueError(
-                f"start_time {self.start_time} does not fit the 64-bit wire field"
-            )
-        if n and (entries[0][0] < 0 or entries[-1][0] > 0xFFFF):
-            bad = entries[0][0] if entries[0][0] < 0 else entries[-1][0]
-            raise ValueError(f"log point id {bad} does not fit a short")
-        header = _HEADER.pack(
+        return encode_fields(
             self.host_id,
             self.stage_id,
             self.uid,
-            ts_ms,
-            min(int(self.duration * 1_000_000), _MAX_COUNT),
-            n,
+            self.start_time,
+            self.duration,
+            self.log_points,
         )
-        if not n:
-            return header
-        flat: List[int] = []
-        for lpid, count in entries:
-            flat.append(lpid)
-            flat.append(count if count <= _MAX_COUNT else _MAX_COUNT)
-        return header + _entry_array(n).pack(*flat)
 
     @classmethod
     def decode(cls, payload: bytes) -> "TaskSynopsis":

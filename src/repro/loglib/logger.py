@@ -66,7 +66,7 @@ class Logger:
         repo = self.repository
         now = repo.clock()
         if repo.interceptors:
-            call = LogCall(lpid=lpid, level=level, logger_name=self.name, time=now)
+            call = LogCall(lpid, level, self.name, now)
             for interceptor in repo.interceptors:
                 interceptor.on_log(call)
         if level < self.level:

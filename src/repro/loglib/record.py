@@ -12,12 +12,15 @@ Two shapes on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class LogCall:
-    """What the interception layer sees for every logging call."""
+class LogCall(NamedTuple):
+    """What the interception layer sees for every logging call.
+
+    An immutable named tuple: one is built on every logging call, so its
+    construction cost sits on the tracker's hot path.
+    """
 
     lpid: Optional[int]
     level: int
