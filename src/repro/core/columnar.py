@@ -6,6 +6,11 @@ This module lowers the trained model and the wire format into forms the
 batch path (:meth:`repro.core.detector.AnomalyDetector.observe_batch`)
 can process an entire frame run at a time:
 
+* :func:`scan_frames` and :func:`route_payload` are the two
+  decode-free record walkers: one collects (and validates) record
+  offsets, the other slices records into per-analyzer buckets by stage
+  byte.  Both read the header through
+  :data:`repro.core.synopsis.HEADER_FIELDS`.
 * :func:`decode_columns` explodes encoded synopsis frames into parallel
   arrays — stage-id, sig-id, duration, timestamp, uid — without
   constructing a :class:`~repro.core.synopsis.TaskSynopsis` per task.
@@ -34,7 +39,7 @@ rule text.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -43,7 +48,7 @@ from repro.telemetry import NULL_REGISTRY
 from .features import StageKey
 from .interning import SignatureIdSpace
 from .model import _LABEL_NEW_SIGNATURE, OutlierModel, TaskLabel
-from .synopsis import FRAME_HEADER, SYNOPSIS_HEADER
+from .synopsis import FRAME_HEADER, HEADER_FIELDS, SYNOPSIS_ENTRY, SYNOPSIS_HEADER
 
 #: Verdict flag bits in :attr:`CompiledStage.flags` (0 == novel).
 KNOWN = 1
@@ -61,18 +66,14 @@ SIG_BITS = 17
 
 _HEADER_SIZE = SYNOPSIS_HEADER.size
 _FRAME_HEADER_SIZE = FRAME_HEADER.size
-_ENTRY_SIZE = 6
+_ENTRY_SIZE = SYNOPSIS_ENTRY.size
 
-#: Byte offset and width of each ``SYNOPSIS_HEADER`` (``<BBIQiB``) field
-#: inside a record; ``duration_us`` is the one signed field.
-_HEADER_FIELDS = {
-    "host_id": (0, 1),
-    "stage_id": (1, 1),
-    "uid": (2, 4),
-    "ts_ms": (6, 8),
-    "duration_us": (14, 4),
-    "n_entries": (18, 1),
-}
+#: The header bytes the record walkers read one at a time: the stage
+#: id, the entry count, and the top byte of the little-endian int32
+#: duration (its sign).
+_STAGE_AT = HEADER_FIELDS["stage_id"][0]
+_COUNT_AT = HEADER_FIELDS["n_entries"][0]
+_SIGN_AT = sum(HEADER_FIELDS["duration_us"]) - 1
 
 
 def exact_duration_cut(threshold: float) -> int:
@@ -290,6 +291,9 @@ def scan_frames(
     one_frame = one_frame or strict
     offsets: List[int] = []
     unpack_frame = FRAME_HEADER.unpack_from
+    header_size = _HEADER_SIZE
+    entry_size = _ENTRY_SIZE
+    count_at = _COUNT_AT
     end = offset
     total = len(data)
     while one_frame or offset < total:
@@ -304,10 +308,10 @@ def scan_frames(
         seen = 0
         error = None
         while record < frame_end:
-            if frame_end - record < _HEADER_SIZE:
+            if frame_end - record < header_size:
                 error = "truncated synopsis header"
                 break
-            record_end = record + _HEADER_SIZE + _ENTRY_SIZE * data[record + 18]
+            record_end = record + header_size + entry_size * data[record + count_at]
             if record_end > frame_end:
                 error = "truncated synopsis log point entries"
                 break
@@ -318,9 +322,13 @@ def scan_frames(
             # Checked after the walk so the detect path's loop pays
             # nothing for it; a record before the break point still
             # reports first, as the object decoder would.
+            sign_at = _SIGN_AT
             for record in offsets:
-                if data[record + 17] > 0x7F:  # sign of the int32 duration
-                    duration_us = SYNOPSIS_HEADER.unpack_from(data, record)[4]
+                if data[record + sign_at] > 0x7F:
+                    at, width = HEADER_FIELDS["duration_us"]
+                    duration_us = int.from_bytes(
+                        data[record + at : record + at + width], "little", signed=True
+                    )
                     return offsets, end, f"negative duration {duration_us / 1_000_000.0}"
         if error is None and seen != count:
             error = f"frame count mismatch: header says {count}, payload holds {seen}"
@@ -332,6 +340,42 @@ def scan_frames(
     return offsets, end, None
 
 
+def route_payload(
+    payload: bytes,
+    offset: int,
+    end: int,
+    table: Sequence[int],
+    buckets: Sequence[List[bytes]],
+) -> List[int]:
+    """Route the encoded synopses in ``payload[offset:end]`` by stage.
+
+    The analyzer cluster's hot loop: for each synopsis, read the stage
+    byte, look up its bucket in ``table`` (256 entries, stage byte ->
+    bucket index; :func:`repro.shard.shard_table` or a ring's
+    ``index_table()``), and append the synopsis's raw byte slice to
+    ``buckets[index]`` — no decoding, no object materialization.
+    Returns the number of synopses appended per bucket.  Raises
+    ``ValueError`` when the range does not hold a whole number of
+    synopses.
+    """
+    counts = [0] * len(buckets)
+    header_size = _HEADER_SIZE
+    entry_size = _ENTRY_SIZE
+    stage_at = _STAGE_AT
+    count_at = _COUNT_AT
+    while offset < end:
+        if end - offset < header_size:
+            raise ValueError("truncated synopsis header")
+        stop = offset + header_size + entry_size * payload[offset + count_at]
+        if stop > end:
+            raise ValueError("truncated synopsis log point entries")
+        index = table[payload[offset + stage_at]]
+        buckets[index].append(payload[offset:stop])
+        counts[index] += 1
+        offset = stop
+    return counts
+
+
 def header_column(b, offs, name: str):
     """One ``SYNOPSIS_HEADER`` field of the records at ``offs``, as int64.
 
@@ -339,7 +383,7 @@ def header_column(b, offs, name: str):
     (:func:`scan_frames`) as an int64 array, ``name`` one of ``host_id``,
     ``stage_id``, ``uid``, ``ts_ms``, ``duration_us``, ``n_entries``.
     """
-    at, nbytes = _HEADER_FIELDS[name]
+    at, nbytes = HEADER_FIELDS[name]
     value = b[offs + at].astype(_np.int64)
     for i in range(1, nbytes):
         value |= b[offs + at + i].astype(_np.int64) << (8 * i)
@@ -430,7 +474,7 @@ def decode_columns(
         raise ValueError(error)
     b = _np.frombuffer(bytes(data), dtype=_np.uint8)
     offs = _np.asarray(offsets, dtype=_np.int64)
-    column = {name: header_column(b, offs, name) for name in _HEADER_FIELDS}
+    column = {name: header_column(b, offs, name) for name in HEADER_FIELDS}
     sig_ids = resolve_sig_ids(b, offs + _HEADER_SIZE, column.pop("n_entries"), space)
     if sig_ids is None:
         raise ValueError("signature id space exhausted while decoding columns")

@@ -17,6 +17,7 @@
 from __future__ import annotations
 
 import time as _time
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.loglib import INFO, LoggerRepository
@@ -302,7 +303,9 @@ class SAAD:
         return self.add_node(
             host_name,
             context=SimThreadContext(env),
-            clock=lambda: env.now,
+            # ``env.now`` read without a lambda frame: the clock runs on
+            # every logging call and every task start.
+            clock=partial(getattr, env, "now"),
             **kwargs,
         )
 

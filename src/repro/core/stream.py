@@ -31,14 +31,13 @@ validated structurally by the one record scanner
 (:func:`repro.core.columnar.scan_frames`), forwarded to frame
 subscribers as it arrived, and *retained as the frame*.
 :class:`TaskSynopsis` objects are built only for whoever asks for them
-— an object subscriber, a read of :attr:`SynopsisCollector.synopses`,
-or use of a :class:`LazySynopses` return value.
+— an object subscriber or a read of :attr:`SynopsisCollector.synopses`.
+The collector's inlets return how many synopses they ingested.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.telemetry import MetricsRegistry
@@ -51,6 +50,7 @@ from .synopsis import (
     TaskSynopsis,
     decode_frame,
     encode_fields,
+    pack_frames,
 )
 
 Subscriber = Callable[[TaskSynopsis], None]
@@ -68,49 +68,6 @@ def _materialize(parts: Iterable[Union[bytes, TaskSynopsis]]) -> List[TaskSynops
         else:
             out.append(part)
     return out
-
-
-class LazySynopses(Sequence):
-    """The synopses of some ingested frames, decoded on first use.
-
-    What :meth:`SynopsisCollector.receive_frame`, ``feed`` and ``flush``
-    return in place of a list: its length is known from the frame scan,
-    and anything that looks at an element (iteration, indexing,
-    comparison — it compares equal to the list it replaces) runs the
-    object decode once and keeps the result.  A caller that ignores the
-    value, as every transport does, never pays for the decode.
-    """
-
-    __slots__ = ("_parts", "_count", "_items")
-
-    def __init__(self, parts, count: int):
-        self._parts = parts
-        self._count = count
-        self._items: Optional[List[TaskSynopsis]] = None
-
-    def _list(self) -> List[TaskSynopsis]:
-        items = self._items
-        if items is None:
-            items = self._items = _materialize(self._parts)
-            self._parts = ()
-        return items
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, index):
-        return self._list()[index]
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazySynopses):
-            other = other._list()
-        return self._list() == other
-
-    def __repr__(self) -> str:
-        return repr(self._list())
 
 
 class SynopsisStream:
@@ -320,8 +277,7 @@ class SynopsisStream:
             pending = self._pending
             if not pending:
                 return b""
-            payload = b"".join(pending)
-            frame = FRAME_HEADER.pack(len(payload), len(pending)) + payload
+            (frame,) = pack_frames(pending)
             pending.clear()
             self._frames_flushed += 1
             self._frame_bytes += len(frame)
@@ -353,8 +309,8 @@ class SynopsisCollector:
     :func:`~repro.core.synopsis.decode_frame` rejects), hands the bytes
     to the frame subscribers, and retains *the frame* — about 40 bytes
     per task instead of a ~350-byte object.  Objects are decoded only
-    on demand: for an object subscriber, on a read of :attr:`synopses`
-    / :meth:`drain`, or when a returned :class:`LazySynopses` is used.
+    on demand: for an object subscriber, or on a read of
+    :attr:`synopses` / :meth:`drain`.
 
     Parameters
     ----------
@@ -488,10 +444,10 @@ class SynopsisCollector:
         for subscriber in self.subscribers:
             subscriber(synopsis)
 
-    def receive_frame(self, frame: bytes) -> LazySynopses:
+    def receive_frame(self, frame: bytes) -> int:
         """Ingest one wire frame (the transport-side counterpart of
-        :meth:`SynopsisStream.flush_wire`); returns its synopses,
-        lazily (:class:`LazySynopses`).
+        :meth:`SynopsisStream.flush_wire`); returns how many synopses
+        it held.
 
         The frame is validated by a strict scan
         (:func:`~repro.core.columnar.scan_frames`), which raises what
@@ -514,13 +470,14 @@ class SynopsisCollector:
             frame_subscriber(frame)
         if self.retain:
             self._retained.append(frame)
-        synopses = LazySynopses((frame,), len(offsets))
-        for subscriber in self.subscribers:
-            for synopsis in synopses:
-                subscriber(synopsis)
-        return synopses
+        if self.subscribers:
+            synopses = decode_frame(frame)[0]
+            for subscriber in self.subscribers:
+                for synopsis in synopses:
+                    subscriber(synopsis)
+        return len(offsets)
 
-    def feed(self, chunk: bytes) -> LazySynopses:
+    def feed(self, chunk: bytes) -> int:
         """Ingest an arbitrary byte chunk of the framed wire stream.
 
         The transport-agnostic inlet: unlike :meth:`receive_frame`, the
@@ -528,13 +485,12 @@ class SynopsisCollector:
         across calls (exactly what a socket read produces).  Complete
         frames are ingested immediately; a trailing partial frame waits
         in the reassembly buffer (``collector_pending_bytes``) for the
-        next chunk.  Returns the synopses of the frames this chunk
-        completed (a :class:`LazySynopses`).
+        next chunk.  Returns how many synopses the frames this chunk
+        completed held.
         """
         self._buffer.extend(chunk)
         header_size = FRAME_HEADER.size
         buffer = self._buffer
-        frames: List[bytes] = []
         count = 0
         offset = 0
         while len(buffer) - offset >= header_size:
@@ -542,15 +498,13 @@ class SynopsisCollector:
             stop = offset + header_size + length
             if len(buffer) < stop:
                 break
-            frame = bytes(buffer[offset:stop])
-            count += len(self.receive_frame(frame))
-            frames.append(frame)
+            count += self.receive_frame(bytes(buffer[offset:stop]))
             offset = stop
         if offset:
             del buffer[:offset]
-        return LazySynopses(frames, count)
+        return count
 
-    def flush(self) -> Sequence:
+    def flush(self) -> int:
         """Drain every attached stream's pending wire batch, in order.
 
         Shutdown ordering matters: the *streams* flush first (their
@@ -559,12 +513,10 @@ class SynopsisCollector:
         collector), and only then is the reassembly buffer checked.  A
         non-empty buffer at that point is a truncated frame whose tail
         can no longer arrive, so ``ValueError`` is raised instead of
-        silently dropping the last batch.  Returns the synopses that
-        arrived through :meth:`feed` during the flush — lazily, so a
-        shutdown that ignores them does not decode the retained trace.
+        silently dropping the last batch.  Returns how many synopses
+        arrived during the flush.
         """
         before = self._count
-        mark = len(self._retained)
         for stream in self.streams:
             if stream.wire_format:
                 stream.flush_wire()
@@ -573,10 +525,7 @@ class SynopsisCollector:
                 f"collector holds {len(self._buffer)} bytes of a truncated "
                 "frame after flush; the last batch would be lost"
             )
-        received = self._count - before
-        if received and self.retain:
-            return LazySynopses(self._retained[mark:], received)
-        return []
+        return self._count - before
 
     def close(self) -> None:
         """Flush attached streams, then seal the collector.

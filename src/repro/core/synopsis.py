@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .interning import intern_signature
 from .interning import InternedSignature as _InternedSignature
@@ -103,11 +103,29 @@ def encode_fields(
 
 
 #: Public aliases of the packed layouts for zero-copy consumers: the
-#: sharded analyzer routes synopses between workers by scanning these
-#: fields straight out of frame bytes, and the detector's wire ingest
-#: path classifies without materializing :class:`TaskSynopsis` objects.
+#: record walkers in :mod:`repro.core.columnar` read fields straight out
+#: of frame bytes, and the detector's wire ingest path classifies
+#: without materializing :class:`TaskSynopsis` objects.
 SYNOPSIS_HEADER = _HEADER
 SYNOPSIS_ENTRY = _ENTRY
+
+
+def _field_table(names: Tuple[str, ...]) -> Dict[str, Tuple[int, int]]:
+    table, at = {}, 0
+    for name, code in zip(names, _HEADER.format.lstrip("<")):
+        width = struct.calcsize("<" + code)
+        table[name] = (at, width)
+        at += width
+    return table
+
+
+#: Byte offset and width of each ``SYNOPSIS_HEADER`` field inside a
+#: record, derived from the struct's format: the one table the
+#: decode-free readers (scanner, router, fleet retention) index by.
+#: ``duration_us`` is the one signed field.
+HEADER_FIELDS = _field_table(
+    ("host_id", "stage_id", "uid", "ts_ms", "duration_us", "n_entries")
+)
 
 
 def entry_struct(n: int) -> struct.Struct:
@@ -271,6 +289,37 @@ def decode_frame(payload: bytes, offset: int = 0) -> Tuple[List[TaskSynopsis], i
             f"frame count mismatch: header says {count}, payload holds {len(synopses)}"
         )
     return synopses, offset + length
+
+
+def pack_frames(records: Sequence[bytes]) -> List[bytes]:
+    """Frame encoded records, at most :data:`MAX_FRAME_SYNOPSES` a frame.
+
+    The one frame packer for records already in wire form: a node
+    stream's flush, the pool's and the fleet's per-analyzer buckets and
+    the fleet's replay all ship what it returns.  No records, no frames.
+    """
+    frames = []
+    for start in range(0, len(records), MAX_FRAME_SYNOPSES):
+        chunk = records[start : start + MAX_FRAME_SYNOPSES]
+        payload = b"".join(chunk)
+        frames.append(FRAME_HEADER.pack(len(payload), len(chunk)) + payload)
+    return frames
+
+
+def frame_bounds(data: bytes, offset: int = 0) -> Tuple[int, int]:
+    """``(start, end)`` of the payload of the frame at ``offset``.
+
+    Checks only that the header and the payload it announces are all
+    there, raising :func:`decode_frame`'s ``ValueError`` messages when
+    they are not; the records are left to whoever walks them.
+    """
+    if len(data) - offset < FRAME_HEADER.size:
+        raise ValueError("truncated frame header")
+    length, _ = FRAME_HEADER.unpack_from(data, offset)
+    start = offset + FRAME_HEADER.size
+    if len(data) - start < length:
+        raise ValueError("truncated frame payload")
+    return start, start + length
 
 
 def decode_frames(payload: bytes) -> List[TaskSynopsis]:

@@ -71,8 +71,7 @@ def _status(args) -> int:
 
 
 def _join(args) -> int:
-    from repro.core import AnomalyDetector
-    from repro.shard.coordinator import EVENT_ORDER
+    from repro.core import SAAD
     from repro.telemetry.demo import demo_trace
 
     from .node import AnalyzerFleet
@@ -80,12 +79,9 @@ def _join(args) -> int:
     model = _demo_model(max(args.tasks // 3, 3000))
     trace = demo_trace(args.tasks, anomalous=True)
 
-    # Coordinator-side reference run, not a fleet node's detector.
-    single = AnomalyDetector(model)  # saadlint: disable=SH001
-    for synopsis in trace:
-        single.observe(synopsis)  # saadlint: disable=CP001
-    single.flush()
-    expected = sorted(single.anomalies, key=EVENT_ORDER)
+    saad = SAAD(model.config)
+    saad.model = model
+    expected = saad.detect(trace)
 
     third = len(trace) // 3
     started = time.perf_counter()

@@ -192,7 +192,7 @@ class AnalyzerFleet:
         self._suspect_after_s = suspect_after_s
         self._dead_after_s = dead_after_s
         self.hub = LoopbackHub()
-        self._events: List[Tuple[str, AnomalyEvent]] = []
+        self._events: List[AnomalyEvent] = []
         self._nodes: Dict[str, FleetNode] = {}
         self._gossips: Dict[str, Gossip] = {}
 
@@ -311,7 +311,7 @@ class AnalyzerFleet:
 
     # -- data path -------------------------------------------------------------
     def _collect(self, node_id: str, event: AnomalyEvent) -> None:
-        self._events.append((node_id, event))
+        self._events.append(event)
 
     def dispatch_frame(self, frame: bytes, offset: int = 0) -> None:
         """Route one wire frame across the fleet (``frame_sink`` shape)."""
@@ -347,21 +347,7 @@ class AnalyzerFleet:
         double-closed windows collapse here, because both closings of
         a rebuilt window saw the identical task multiset.
         """
-        seen = set()
-        merged = []
-        for _node_id, event in self._events:
-            if event not in seen:
-                seen.add(event)
-                merged.append(event)
-        merged.sort(key=EVENT_ORDER)
-        return merged
-
-    def events_by_node(self) -> Dict[str, List[AnomalyEvent]]:
-        """Raw per-node event streams (diagnostics, tests)."""
-        out: Dict[str, List[AnomalyEvent]] = {}
-        for node_id, event in self._events:
-            out.setdefault(node_id, []).append(event)
-        return out
+        return sorted(dict.fromkeys(self._events), key=EVENT_ORDER)
 
     @property
     def nodes(self) -> List[str]:

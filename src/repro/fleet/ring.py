@@ -125,7 +125,7 @@ class HashRing:
 
     def index_table(self) -> List[int]:
         """:meth:`table` as positions in :attr:`nodes`: the worker-index
-        table :func:`~repro.shard.partition.route_payload` routes by."""
+        table :func:`~repro.core.columnar.route_payload` routes by."""
         order = {node_id: index for index, node_id in enumerate(self.nodes)}
         return [order[owner] for owner in self.table()]
 

@@ -4,7 +4,7 @@ The router is the fleet's coordinator-side hot path, the elastic
 counterpart of :class:`~repro.shard.coordinator.ShardedAnalyzer`'s
 dispatch: synopses are routed **by the consistent-hash ring** into
 per-analyzer buckets using the exact decode-free byte scan the static
-partitioner uses (:func:`~repro.shard.partition.route_payload` is
+partitioner uses (:func:`~repro.core.columnar.route_payload` is
 table-agnostic — the ring only changes how the 256-entry table is
 built), re-framed, and shipped over per-node :class:`FrameClient`
 connections.
@@ -37,18 +37,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.synopsis import FRAME_HEADER, MAX_FRAME_SYNOPSES, TaskSynopsis
-from repro.shard.partition import route_payload
+from repro.core.columnar import route_payload
+from repro.core.synopsis import HEADER_FIELDS, encode_batch, frame_bounds, pack_frames
 from repro.telemetry import NULL_REGISTRY
 
 from .ring import HashRing
 
 __all__ = ["FleetRouter"]
-
-#: Byte offset of the synopsis start timestamp (ms, ``<Q``) inside an
-#: encoded synopsis — see ``repro.core.synopsis``'s packed header
-#: ``<BBIQiB`` (host, sid, uid, ts_ms, duration_us, n).
-_TS_OFFSET = 6
 
 
 class FleetRouter:
@@ -202,7 +197,7 @@ class FleetRouter:
             if retained:
                 new_client = self._clients[self.ring.table()[stage_id]]
                 try:
-                    for frame in self._frames_of(retained):
+                    for frame in pack_frames([blob for _, blob in retained]):
                         new_client.send_replay(frame)
                 except (ConnectionError, OSError, TimeoutError, RuntimeError):
                     continue  # new owner gone too: the next sync re-replays
@@ -215,25 +210,10 @@ class FleetRouter:
             except (ConnectionError, OSError, TimeoutError, RuntimeError):
                 pass  # it died after all: its partial windows die with it
 
-    @staticmethod
-    def _frames_of(retained: List[Tuple[int, bytes]]) -> List[bytes]:
-        frames = []
-        for start in range(0, len(retained), MAX_FRAME_SYNOPSES):
-            chunk = [blob for _, blob in retained[start : start + MAX_FRAME_SYNOPSES]]
-            payload = b"".join(chunk)
-            frames.append(FRAME_HEADER.pack(len(payload), len(chunk)) + payload)
-        return frames
-
     # -- dispatch --------------------------------------------------------------
     def dispatch_frame(self, frame: bytes, offset: int = 0) -> None:
         """Route one length-prefixed wire frame across the fleet."""
-        if len(frame) - offset < FRAME_HEADER.size:
-            raise ValueError("truncated frame header")
-        length, _ = FRAME_HEADER.unpack_from(frame, offset)
-        start = offset + FRAME_HEADER.size
-        if len(frame) < start + length:
-            raise ValueError("truncated frame payload")
-        self.dispatch_payload(frame, start, start + length)
+        self.dispatch_payload(frame, *frame_bounds(frame, offset))
 
     def dispatch_payload(self, payload: bytes, offset: int, end: int) -> None:
         """Route the bare encoded synopses in ``payload[offset:end]``."""
@@ -250,21 +230,19 @@ class FleetRouter:
 
     def dispatch(self, synopses) -> None:
         """Object-path convenience: encode and route decoded synopses."""
-        parts = []
-        for synopsis in synopses:
-            if not isinstance(synopsis, TaskSynopsis):
-                raise TypeError(f"expected TaskSynopsis, got {type(synopsis)!r}")
-            parts.append(synopsis.encode())
-        blob = b"".join(parts)
+        blob = encode_batch(synopses)
         self.dispatch_payload(blob, 0, len(blob))
 
     def _retain(self, bucket: List[bytes], start: int) -> None:
         """Tag and retain the bucket's newly routed synopses."""
         width = self.window_s
+        ts_at, ts_width = HEADER_FIELDS["ts_ms"]
+        ts_end = ts_at + ts_width
+        stage_at = HEADER_FIELDS["stage_id"][0]
         for blob in bucket[start:]:
-            ts_ms = int.from_bytes(blob[_TS_OFFSET : _TS_OFFSET + 8], "little")
+            ts_ms = int.from_bytes(blob[ts_at:ts_end], "little")
             index = int((ts_ms / 1000.0) // width)
-            stage_id = blob[1]
+            stage_id = blob[stage_at]
             self._retained.setdefault(stage_id, []).append((index, blob))
             self._retained_count += 1
 
@@ -283,13 +261,9 @@ class FleetRouter:
                 continue
             node_id = self._order[index]
             client = self._clients[node_id]
-            for start in range(0, len(bucket), MAX_FRAME_SYNOPSES):
-                chunk = bucket[start : start + MAX_FRAME_SYNOPSES]
-                payload = b"".join(chunk)
+            for frame in pack_frames(bucket):
                 try:
-                    client.send(
-                        FRAME_HEADER.pack(len(payload), len(chunk)) + payload
-                    )
+                    client.send(frame)
                 except (ConnectionError, OSError, TimeoutError, RuntimeError):
                     break  # peer down: retention + reroute recover this
             bucket.clear()

@@ -109,17 +109,6 @@ RULES: Dict[str, Rule] = {
             "retention policy.",
         ),
         Rule(
-            "SH001",
-            INFO,
-            "direct detector construction in sharded code",
-            "Code under a shard/ package must build per-shard detectors "
-            "through repro.shard.factory.shard_detector: the factory wires "
-            "the process-local registry, the key-echo tracer stand-in, and "
-            "the shard_id tag the coordinator protocol relies on.  A bare "
-            "AnomalyDetector skips all three — telemetry silently vanishes "
-            "and exemplar keys never route back to the parent.",
-        ),
-        Rule(
             "CP001",
             INFO,
             "per-task detect loop on a batch-capable path",

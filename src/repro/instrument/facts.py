@@ -45,10 +45,6 @@ SUBPROCESS_BLOCKING = {"run", "call", "check_call", "check_output", "Popen"}
 #: Builtins that perform real, blocking I/O.
 BLOCKING_BUILTINS = {"open", "input"}
 
-#: Class whose direct construction SH001 flags inside shard packages —
-#: per-shard detectors must come from repro.shard.factory.shard_detector.
-_DETECTOR_CLASS = "AnomalyDetector"
-
 #: Detect-path methods that have a batch-capable equivalent (CP001):
 #: ``observe`` -> ``observe_batch``, ``classify`` -> compiled rule tables.
 _BATCH_CAPABLE_METHODS = frozenset({"observe", "classify"})
@@ -180,8 +176,6 @@ class FileFacts:
     tracer_calls: List[Tuple[int, int, str, str, bool]] = field(
         default_factory=list
     )
-    #: (line, col) of direct ``AnomalyDetector(...)`` constructions (SH001).
-    detector_ctors: List[Tuple[int, int]] = field(default_factory=list)
     #: (line, col, receiver, method) of per-task ``observe``/``classify``
     #: calls made inside a loop body (CP001).
     detect_loop_calls: List[Tuple[int, int, str, str]] = field(
@@ -419,13 +413,6 @@ class _Collector(ast.NodeVisitor):
                     func.attr,
                 )
             )
-        ctor_name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute) else ""
-        )
-        if ctor_name == _DETECTOR_CLASS:
-            self.facts.detector_ctors.append((node.lineno, node.col_offset))
         if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
             receiver = func.value
             if (

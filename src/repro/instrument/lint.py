@@ -203,8 +203,6 @@ class LintEngine:
             out.extend(self._tm001(facts))
         if "TR001" in self.rules:
             out.extend(self._tr001(facts))
-        if "SH001" in self.rules:
-            out.extend(self._sh001(facts))
         if "CP001" in self.rules:
             out.extend(self._cp001(facts))
         if "SL001" in self.rules:
@@ -258,30 +256,6 @@ class LintEngine:
                     "observe_batch (or classify through compile_model's "
                     "rule tables) instead of looping per synopsis; a "
                     "deliberate scalar baseline can disable CP001 inline",
-                )
-            )
-        return out
-
-    def _sh001(self, facts) -> List[Diagnostic]:
-        out = []
-        # Scoped like CC001, but to shard packages: only code that runs
-        # inside (or builds) shard workers is held to the factory rule.
-        in_shard = f"{os.sep}shard{os.sep}" in facts.path or facts.path.startswith(
-            f"shard{os.sep}"
-        )
-        if not in_shard:
-            return out
-        for line, col in facts.detector_ctors:
-            out.append(
-                Diagnostic(
-                    "SH001",
-                    facts.path,
-                    line,
-                    col,
-                    "direct AnomalyDetector construction in sharded code",
-                    "build per-shard detectors through repro.shard.factory."
-                    "shard_detector so the worker gets its process-local "
-                    "registry, the key-echo tracer, and a shard_id tag",
                 )
             )
         return out

@@ -11,6 +11,7 @@ regardless of verbosity; only rendering and appending are skipped.
 from __future__ import annotations
 
 import time as _time
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from .appenders import Appender
@@ -19,6 +20,11 @@ from .record import LogCall, LogRecord
 
 Clock = Callable[[], float]
 ThreadNamer = Callable[[], str]
+
+#: ``LogCall(lpid, level, logger_name, time)`` from one field tuple,
+#: without the named tuple's Python-level ``__new__``: one is built on
+#: every logging call.
+_new_call = partial(tuple.__new__, LogCall)
 
 
 class Logger:
@@ -33,15 +39,22 @@ class Logger:
         self.name = name
         self.repository = repository
         self._level: Optional[int] = None
+        #: The resolved effective level; None until first needed.  The
+        #: repository clears it whenever any level changes (as log4j does).
+        self._effective: Optional[int] = None
 
     # -- configuration --------------------------------------------------------
     @property
     def level(self) -> int:
-        return self.repository.effective_level(self.name)
+        level = self._effective
+        if level is None:
+            level = self._effective = self.repository.effective_level(self.name)
+        return level
 
     def set_level(self, level: Optional[int]) -> None:
         """Set this logger's explicit level (None = inherit)."""
         self._level = level
+        self.repository._invalidate_levels()
 
     # -- enablement ------------------------------------------------------------
     def is_enabled_for(self, level: int) -> bool:
@@ -63,13 +76,20 @@ class Logger:
     # -- logging calls -----------------------------------------------------------
     def log(self, level: int, template: str, *args, lpid: Optional[int] = None) -> None:
         """The single funnel all level helpers call."""
+        self._emit(level, template, args, lpid)
+
+    def _emit(self, level: int, template: str, args: tuple, lpid: Optional[int]) -> None:
         repo = self.repository
         now = repo.clock()
-        if repo.interceptors:
-            call = LogCall(lpid, level, self.name, now)
-            for interceptor in repo.interceptors:
+        interceptors = repo.interceptors
+        if interceptors:
+            call = _new_call((lpid, level, self.name, now))
+            for interceptor in interceptors:
                 interceptor.on_log(call)
-        if level < self.level:
+        threshold = self._effective
+        if threshold is None:
+            threshold = self.level
+        if level < threshold:
             return
         record = LogRecord(
             time=now,
@@ -84,22 +104,22 @@ class Logger:
             appender.append(record)
 
     def trace(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self.log(TRACE, template, *args, lpid=lpid)
+        self._emit(TRACE, template, args, lpid)
 
     def debug(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self.log(DEBUG, template, *args, lpid=lpid)
+        self._emit(DEBUG, template, args, lpid)
 
     def info(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self.log(INFO, template, *args, lpid=lpid)
+        self._emit(INFO, template, args, lpid)
 
     def warn(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self.log(WARN, template, *args, lpid=lpid)
+        self._emit(WARN, template, args, lpid)
 
     def error(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self.log(ERROR, template, *args, lpid=lpid)
+        self._emit(ERROR, template, args, lpid)
 
     def fatal(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self.log(FATAL, template, *args, lpid=lpid)
+        self._emit(FATAL, template, args, lpid)
 
     def __repr__(self) -> str:
         return f"<Logger {self.name!r}>"
@@ -124,7 +144,7 @@ class LoggerRepository:
         clock: Optional[Clock] = None,
         thread_namer: Optional[ThreadNamer] = None,
     ):
-        self.root_level = root_level
+        self._root_level = root_level
         self.clock: Clock = clock or _time.time
         self.thread_namer: ThreadNamer = thread_namer or (lambda: "main")
         self._loggers: Dict[str, Logger] = {}
@@ -149,10 +169,24 @@ class LoggerRepository:
             ancestor = self._loggers.get(".".join(parts[:i]))
             if ancestor is not None and ancestor._level is not None:
                 return ancestor._level
-        return self.root_level
+        return self._root_level
+
+    @property
+    def root_level(self) -> int:
+        return self._root_level
+
+    @root_level.setter
+    def root_level(self, level: int) -> None:
+        self._root_level = level
+        self._invalidate_levels()
 
     def set_root_level(self, level: int) -> None:
         self.root_level = level
+
+    def _invalidate_levels(self) -> None:
+        """Drop every logger's cached effective level."""
+        for logger in self._loggers.values():
+            logger._effective = None
 
     def add_appender(self, appender: Appender) -> None:
         self.appenders.append(appender)

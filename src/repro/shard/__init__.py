@@ -6,9 +6,8 @@ stage's synopses to one worker and N workers reproduce a single
 detector's event set exactly.  This package provides the pieces —
 
 * :mod:`~repro.shard.partition` — the pool's ``stage -> shard`` table
-  and the decode-free byte router,
-* :mod:`~repro.shard.factory` — the sanctioned per-shard detector
-  constructor (saadlint SH001),
+  (the decode-free byte router it feeds,
+  :func:`~repro.core.columnar.route_payload`, is re-exported here),
 * :mod:`~repro.shard.worker` — the spawn-safe worker process,
 * :mod:`~repro.shard.coordinator` — :class:`ShardedAnalyzer`, the
   parent-side router/merger,
@@ -23,9 +22,10 @@ ingest-edge overload design (docs/OPERATIONS.md §8 is the operator
 playbook).
 """
 
+from repro.core.columnar import route_payload
+
 from .coordinator import EVENT_ORDER, ShardedAnalyzer, ShardWorkerError
-from .factory import shard_detector
-from .partition import route_payload, shard_table
+from .partition import shard_table
 from .server import AdaptiveFlush, FrameClient, SynopsisServer
 from .shedding import (
     PRIORITY_EXEMPLAR,
@@ -51,7 +51,6 @@ __all__ = [
     "SynopsisServer",
     "WorkerInit",
     "route_payload",
-    "shard_detector",
     "shard_table",
     "worker_main",
 ]

@@ -25,11 +25,11 @@ __all__ = ["main", "serve"]
 
 def main(argv) -> int:
     """Entry for ``python -m repro shard``."""
-    from repro.core import AnomalyDetector, OutlierModel, SAADConfig
+    from repro.core import SAAD, OutlierModel, SAADConfig
     from repro.telemetry import MetricsRegistry
     from repro.telemetry.demo import demo_trace
 
-    from .coordinator import EVENT_ORDER, ShardedAnalyzer
+    from .coordinator import ShardedAnalyzer
 
     parser = argparse.ArgumentParser(
         prog="python -m repro shard",
@@ -44,11 +44,9 @@ def main(argv) -> int:
     trace = demo_trace(args.tasks, anomalous=True)
 
     started = time.perf_counter()
-    # Coordinator-side reference run, not a shard worker's detector.
-    single = AnomalyDetector(model)  # saadlint: disable=SH001
-    for synopsis in trace:
-        single.observe(synopsis)  # saadlint: disable=CP001
-    single.flush()
+    saad = SAAD(config)
+    saad.model = model
+    single = saad.detect(trace)
     single_s = time.perf_counter() - started
 
     registry = MetricsRegistry()
@@ -60,7 +58,7 @@ def main(argv) -> int:
         pool.dispatch(trace)
         pool.close()
         sharded_s = time.perf_counter() - started
-        print(f"\nsingle process : {len(single.anomalies)} events in {single_s:.2f}s")
+        print(f"\nsingle process : {len(single)} events in {single_s:.2f}s")
         print(f"{args.shards} shards       : {len(pool.anomalies)} events in {sharded_s:.2f}s")
         for shard_id, stats in sorted(pool.worker_stats.items()):
             print(
@@ -68,7 +66,7 @@ def main(argv) -> int:
                 f"{stats['windows_closed']} windows, "
                 f"{stats['busy_seconds']:.2f}s busy"
             )
-        matches = sorted(single.anomalies, key=EVENT_ORDER) == pool.anomalies
+        matches = single == pool.anomalies
     print(f"event sets identical: {matches}")
     return 0 if matches else 1
 

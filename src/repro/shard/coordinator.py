@@ -28,14 +28,15 @@ import multiprocessing
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.columnar import route_payload
 from repro.core.detector import AnomalyEvent
 from repro.core.model import OutlierModel
 from repro.core.persistence import broadcast_model
-from repro.core.synopsis import FRAME_HEADER, MAX_FRAME_SYNOPSES, TaskSynopsis
+from repro.core.synopsis import TaskSynopsis, encode_batch, frame_bounds, pack_frames
 from repro.telemetry import NULL_REGISTRY, merge_snapshots
 from repro.tracing import NULL_TRACER
 
-from .partition import pool_ring, route_payload
+from .partition import pool_ring
 from .worker import WorkerInit, worker_main
 
 __all__ = ["ShardedAnalyzer", "ShardWorkerError", "EVENT_ORDER"]
@@ -135,7 +136,6 @@ class ShardedAnalyzer:
         self.ring = ring
         self._table = ring.index_table()
         self._pending: List[List[bytes]] = [[] for _ in range(shards)]
-        self._pending_bytes = [0] * shards
         self._unmerged: List[AnomalyEvent] = []
         self._register_metrics()
 
@@ -252,65 +252,39 @@ class ShardedAnalyzer:
         socket server's delivery target.  Raises ``ValueError`` on a
         truncated frame.
         """
-        if len(frame) - offset < FRAME_HEADER.size:
-            raise ValueError("truncated frame header")
-        length, _ = FRAME_HEADER.unpack_from(frame, offset)
-        start = offset + FRAME_HEADER.size
-        if len(frame) < start + length:
-            raise ValueError("truncated frame payload")
-        self.dispatch_payload(frame, start, start + length)
+        self.dispatch_payload(frame, *frame_bounds(frame, offset))
 
     def dispatch_payload(self, payload: bytes, offset: int, end: int) -> None:
         """Route the bare encoded synopses in ``payload[offset:end]``."""
         self._check_open()
         counts = route_payload(payload, offset, end, self._table, self._pending)
-        pending_bytes = self._pending_bytes
         for shard_id, count in enumerate(counts):
             if not count:
                 continue
             self._m_synopses.labels(shard=str(shard_id)).inc(count)
-            size = sum(map(len, self._pending[shard_id]))
-            pending_bytes[shard_id] = size
-            if size >= self.batch_bytes:
+            if sum(map(len, self._pending[shard_id])) >= self.batch_bytes:
                 self._send_shard(shard_id)
         self._drain()
 
     def dispatch(self, synopses: Sequence[TaskSynopsis]) -> None:
-        """Object-path convenience: route already-decoded synopses.
-
-        Encodes each synopsis once and routes the bytes; useful for
+        """Object-path convenience: encode already-decoded synopses and
+        route the bytes through :meth:`dispatch_payload`; useful for
         tests and the facade's batch ``detect``.  The wire path
         (:meth:`dispatch_frame`) is the hot one.
         """
-        self._check_open()
-        table = self._table
-        pending = self._pending
-        pending_bytes = self._pending_bytes
-        for synopsis in synopses:
-            encoded = synopsis.encode()
-            shard_id = table[synopsis.stage_id & 0xFF]
-            pending[shard_id].append(encoded)
-            pending_bytes[shard_id] += len(encoded)
-            self._m_synopses.labels(shard=str(shard_id)).inc()
-            if pending_bytes[shard_id] >= self.batch_bytes:
-                self._send_shard(shard_id)
-        self._drain()
+        blob = encode_batch(synopses)
+        self.dispatch_payload(blob, 0, len(blob))
 
     def _send_shard(self, shard_id: int) -> None:
         """Re-frame and ship one shard's routed synopses to its worker."""
         bucket = self._pending[shard_id]
         if not bucket:
             return
-        frames: List[bytes] = []
-        for start in range(0, len(bucket), MAX_FRAME_SYNOPSES):
-            chunk = bucket[start : start + MAX_FRAME_SYNOPSES]
-            payload = b"".join(chunk)
-            frames.append(FRAME_HEADER.pack(len(payload), len(chunk)))
-            frames.append(payload)
-            self._m_frames.labels(shard=str(shard_id)).inc()
-            self._m_bytes.labels(shard=str(shard_id)).inc(len(payload))
+        shard = str(shard_id)
+        self._m_bytes.labels(shard=shard).inc(sum(map(len, bucket)))
+        frames = pack_frames(bucket)
+        self._m_frames.labels(shard=shard).inc(len(frames))
         bucket.clear()
-        self._pending_bytes[shard_id] = 0
         self._send(shard_id, ("frames", b"".join(frames)))
 
     def _send(self, shard_id: int, message) -> None:

@@ -1,8 +1,8 @@
 """The shard worker process: decode-free detection over wire frames.
 
-Each worker owns one :class:`~repro.core.detector.AnomalyDetector` (built
-through :func:`repro.shard.factory.shard_detector`), its own process-local
-signature interning table, and its own telemetry registry.  The parent
+Each worker owns one :class:`~repro.core.detector.AnomalyDetector`, its
+own process-local signature interning table, and its own telemetry
+registry.  The parent
 coordinator ships work as length-prefixed wire frames; the worker ingests
 each blob through the detector's columnar :meth:`observe_batch` path
 (DESIGN §13) and ships back anomaly events, telemetry snapshots, and
@@ -38,10 +38,9 @@ import traceback
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.core.detector import AnomalyDetector
 from repro.core.persistence import receive_model
 from repro.telemetry import MetricsRegistry
-
-from .factory import shard_detector
 
 
 class KeyPinner:
@@ -109,9 +108,8 @@ def worker_main(conn, init: WorkerInit) -> None:
     """
     try:
         registry = MetricsRegistry()
-        detector = shard_detector(
+        detector = AnomalyDetector(
             receive_model(init.model_payload, registry=registry),
-            shard_id=init.shard_id,
             lateness_s=init.lateness_s,
             registry=registry,
             tracer=KeyPinner() if init.tracing else None,

@@ -12,6 +12,7 @@ deterministic and fast.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Generator, Iterable, Optional
 
@@ -69,24 +70,23 @@ class Process(Event):
         env = self.env
         # Drop the wait target; an interrupt may arrive while a target is
         # still pending, in which case we must unsubscribe from it.
-        if (
-            self._target is not None
-            and self._target is not event
-            and self._target.callbacks is not None
-        ):
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
+        target = self._target
+        if target is not None:
+            if target is not event and target.callbacks is not None:
+                try:
+                    target.callbacks.remove(self._resume)
+                except ValueError:
+                    pass
+            self._target = None
         env._active_process = self
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
-                    event.defuse()
-                    next_event = self._generator.throw(event._value)
+                    event._defused = True
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
                 env._active_process = None
                 self._ok = True
@@ -102,13 +102,14 @@ class Process(Event):
 
             if not isinstance(next_event, Event):
                 env._active_process = None
-                self._generator.throw(
+                generator.throw(
                     SimError(f"process {self.name!r} yielded non-event {next_event!r}")
                 )
                 return
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Event not yet processed: wait on it.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
                 env._active_process = None
                 return
@@ -202,11 +203,36 @@ class Environment:
             stop._value = None
             stop.callbacks.append(lambda _e: (_ for _ in ()).throw(StopSimulation()))
             self.schedule(stop, delay=until - self._now, priority=URGENT)
+        # The loop is step() inlined: this is where every simulation spends
+        # its time, so it binds the queue and heappop to locals.
+        queue = self._queue
+        pop = heapq.heappop
+        # The cyclic garbage collector is paused while events run.  A
+        # simulation allocates millions of short-lived objects, which
+        # reference counting frees, and keeps every synopsis it produces;
+        # each full collection rescans all of that retained state (about a
+        # fifth of a loaded Cassandra run's time) to find the few cycles a
+        # run leaves, such as finished threads and their processes.  Those
+        # are collected once the collector is back on.
+        paused = gc.isenabled()
+        if paused:
+            gc.disable()
         try:
-            while self._queue:
-                self.step()
+            while queue:
+                self._now, _, _, event = pop(queue)
+                callbacks, event.callbacks = event.callbacks, None
+                if callbacks is None:
+                    continue  # already processed (defensive; should not happen)
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    # A failure nobody handled: surface it to the caller.
+                    raise event._value
         except StopSimulation:
             self._now = until if until is not None else self._now
+        finally:
+            if paused:
+                gc.enable()
 
     def run_until_idle(self, max_time: Optional[float] = None) -> None:
         """Run until no events remain, optionally bounded by ``max_time``."""

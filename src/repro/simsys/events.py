@@ -14,6 +14,7 @@ An :class:`Event` moves through three states:
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 PENDING = object()
@@ -75,7 +76,10 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        # Environment.schedule(self) at delay 0, NORMAL priority, inlined.
+        env = self.env
+        env._seq += 1
+        heappush(env._queue, (env._now, NORMAL, env._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -123,11 +127,16 @@ class Timeout(Event):
     def __init__(self, env, delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ and Environment.schedule inlined: simulations
+        # create a timeout for nearly every step they take.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        env._seq += 1
+        heappush(env._queue, (env._now + delay, NORMAL, env._seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -145,39 +154,65 @@ class Condition(Event):
 
     def __init__(self, env, evaluate: Callable[[list, int], bool], events):
         super().__init__(env)
-        self._events = list(events)
+        self._events = events = list(events)
         self._evaluate = evaluate
         self._count = 0
-        for event in self._events:
+        for event in events:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
-        if self._evaluate(self._events, 0) and not self._events:
+        if not events and evaluate(events, 0):
             self.succeed({})
             return
-        for event in self._events:
-            if event.processed:
-                self._check(event)
+        check = self._check
+        for event in events:
+            if self._value is not PENDING:
+                break  # decided by an event already processed
+            if event.callbacks is None:
+                check(event)
             else:
-                event.callbacks.append(self._check)
+                event.callbacks.append(check)
 
     def _collect_values(self) -> dict:
-        return {e: e._value for e in self._events if e.triggered and e._ok}
+        return {e: e._value for e in self._events if e._value is not PENDING and e._ok}
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
         if not event._ok:
-            event.defuse()
+            event._defused = True
             self.fail(event._value)
+            self._unsubscribe()
             return
         self._count += 1
         if self._evaluate(self._events, self._count):
             self.succeed(self._collect_values())
+            self._unsubscribe()
+
+    def _unsubscribe(self) -> None:
+        """Stop listening to the events still pending once triggered.
+
+        Their outcome can no longer matter, and an event that never
+        triggers (a waiter dropped after a timeout) would otherwise keep
+        this condition, and itself, alive in a reference cycle.
+        """
+        check = self._check
+        for event in self._events:
+            callbacks = event.callbacks
+            if callbacks is not None and check in callbacks:
+                callbacks.remove(check)
+
+
+def _all_triggered(events: list, count: int) -> bool:
+    return count >= len(events)
+
+
+def _any_triggered(events: list, count: int) -> bool:
+    return count >= 1
 
 
 def all_of(env, events) -> Condition:
     """A condition that triggers once *all* events have triggered."""
-    return Condition(env, lambda evs, count: count >= len(evs), events)
+    return Condition(env, _all_triggered, events)
 
 
 def any_of(env, events) -> Condition:
@@ -185,4 +220,4 @@ def any_of(env, events) -> Condition:
     events = list(events)
     if not events:
         raise ValueError("any_of() requires at least one event")
-    return Condition(env, lambda evs, count: count >= 1, events)
+    return Condition(env, _any_triggered, events)

@@ -44,12 +44,28 @@ def stage_synopses(cluster, stage_name, host_name=None):
     return out
 
 
+@pytest.fixture(scope="class")
+def healthy_run():
+    """One default cluster under the default clients, shared by the tests
+    that only inspect it.
+
+    The run pauses at 30 s and 60 s to keep what a run stopped there
+    would have produced (a paused run resumes exactly as an uninterrupted
+    one), then goes on to 90 s.
+    """
+    cluster = make_cluster()
+    pool = start_clients(cluster)
+    cluster.run(until=30.0)
+    table_at_30s = stage_synopses(cluster, "Table")
+    cluster.run(until=60.0)
+    records_at_60s = list(pool.meter.records)
+    cluster.run(until=90.0)
+    return cluster, table_at_30s, records_at_60s
+
+
 class TestHealthyCluster:
-    def test_writes_and_reads_succeed(self):
-        cluster = make_cluster()
-        pool = start_clients(cluster)
-        cluster.run(until=60.0)
-        records = pool.meter.records
+    def test_writes_and_reads_succeed(self, healthy_run):
+        _cluster, _table_at_30s, records = healthy_run
         assert records
         ok_rate = sum(r.ok for r in records) / len(records)
         assert ok_rate > 0.99
@@ -73,10 +89,8 @@ class TestHealthyCluster:
         assert outcomes["write"] is True
         assert outcomes["read"] is True
 
-    def test_all_stages_emit_synopses(self):
-        cluster = make_cluster()
-        start_clients(cluster)
-        cluster.run(until=90.0)
+    def test_all_stages_emit_synopses(self, healthy_run):
+        cluster, _table_at_30s, _records_at_60s = healthy_run
         seen = {
             cluster.saad.stages.get(s.stage_id).name
             for s in cluster.saad.collector.synopses
@@ -101,16 +115,14 @@ class TestHealthyCluster:
         cluster.run(until=120.0)
         assert sum(n.store.flushes_completed for n in cluster.node_list) > 0
 
-    def test_table_signature_matches_paper_normal_flow(self):
+    def test_table_signature_matches_paper_normal_flow(self, healthy_run):
         """Normal Table tasks hit start/apply/done (paper Table 1)."""
-        cluster = make_cluster()
-        start_clients(cluster)
-        cluster.run(until=30.0)
+        cluster, table_at_30s, _records_at_60s = healthy_run
         lps = cluster.lps
         normal = frozenset(
             {lps.table_start.lpid, lps.table_apply.lpid, lps.table_done.lpid}
         )
-        signatures = {s.signature for s in stage_synopses(cluster, "Table")}
+        signatures = {s.signature for s in table_at_30s}
         assert normal in signatures
 
 

@@ -4,10 +4,10 @@ and builds ``TaskSynopsis`` objects only on demand.
 
 Three contracts: *validation parity* (the collector raises iff
 ``decode_frame`` does, same message, before any subscriber saw the
-frame), *lazy retention* (``synopses`` / ``drain`` / the values ``feed``,
-``receive_frame`` and ``flush`` return are indistinguishable from the
-eager lists they replace), and *one delivery* for a wire-format node
-connected to its own deployment's listener.
+frame), *lazy retention* (frames stay bytes until ``synopses`` /
+``drain`` read them; ``feed``, ``receive_frame`` and ``flush`` return
+only how many synopses they ingested), and *one delivery* for a
+wire-format node connected to its own deployment's listener.
 """
 
 import struct
@@ -26,7 +26,6 @@ from repro.core import (
     decode_frame,
     encode_frame,
 )
-from repro.core.stream import LazySynopses
 from repro.core.synopsis import FRAME_HEADER, SYNOPSIS_HEADER
 
 from .test_codec_roundtrip import synopsis_strategy
@@ -79,7 +78,7 @@ def assert_parity(frame):
         assert collector.count == collector.frames_received == 0
         assert collector.synopses == []
     else:
-        assert collector.receive_frame(frame) == expected
+        assert collector.receive_frame(frame) == len(expected)
         assert seen == [frame] + expected
         assert collector.synopses == expected
 
@@ -144,12 +143,12 @@ class TestValidationParity:
         blob = b"".join(frames)
         cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=6)))
         collector = SynopsisCollector()
-        returned = []
+        returned = 0
         for lo, hi in zip([0] + cuts, cuts + [len(blob)]):
-            returned.extend(collector.feed(blob[lo:hi]))
+            returned += collector.feed(blob[lo:hi])
         expected = [s for frame in frames for s in object_decode(frame)]
         assert collector.synopses == expected
-        assert returned == expected
+        assert returned == len(expected)
         assert collector.frames_received == len(frames)
         assert collector.pending_bytes == 0
 
@@ -158,8 +157,7 @@ class TestLazyRetention:
     def test_frames_are_retained_as_bytes_until_read(self):
         collector = SynopsisCollector()
         frame = encode_frame([synopsis(uid=i) for i in range(4)])
-        batch = collector.receive_frame(frame)
-        assert isinstance(batch, LazySynopses) and len(batch) == 4
+        assert collector.receive_frame(frame) == 4
         assert collector._retained == [frame]  # nothing decoded yet
         assert collector.count == 4
         first = collector.synopses
@@ -193,8 +191,7 @@ class TestLazyRetention:
 
     def test_retain_false_keeps_nothing(self):
         collector = SynopsisCollector(retain=False)
-        batch = collector.receive_frame(encode_frame([synopsis(uid=1)]))
-        assert [s.uid for s in batch] == [1]
+        assert collector.receive_frame(encode_frame([synopsis(uid=1)])) == 1
         assert collector.synopses == [] and collector.count == 1
 
     def test_object_subscribers_still_get_objects_after_frame_subscribers(self):
@@ -205,17 +202,15 @@ class TestLazyRetention:
         collector.receive_frame(encode_frame([synopsis(uid=7), synopsis(uid=8)]))
         assert order == ["frame", 7, 8]
 
-    def test_lazy_value_behaves_like_the_list_it_replaces(self):
-        originals = [synopsis(uid=i) for i in range(3)]
-        batch = SynopsisCollector().receive_frame(encode_frame(originals))
-        decoded = decode_frame(encode_frame(originals))[0]
-        assert batch == decoded and decoded == batch
-        assert batch != decoded[:2] and not batch == tuple(decoded)
-        assert batch[0] == decoded[0] and batch[-1] == decoded[-1]
-        assert batch[1:] == decoded[1:]
-        assert list(batch) == decoded and decoded[1] in batch
-        assert repr(batch) == repr(decoded)
-        assert SynopsisCollector().feed(b"") == []
+    def test_returned_counts_match_the_object_decode(self):
+        frame = encode_frame([synopsis(uid=i) for i in range(3)])
+        decoded = decode_frame(frame)[0]
+        collector = SynopsisCollector()
+        assert collector.receive_frame(frame) == len(decoded) == 3
+        assert collector.feed(frame + frame[:5]) == 3  # one frame completed
+        assert collector.feed(frame[5:]) == 3
+        assert collector.feed(b"") == 0
+        assert collector.synopses == decoded * 3
 
     def test_flush_returns_only_what_the_flush_delivered(self):
         collector = SynopsisCollector()
@@ -226,10 +221,8 @@ class TestLazyRetention:
         for i in range(5):  # one full frame delivered, two synopses pending
             stream.sink(synopsis(uid=i))
         assert collector.count == 3
-        flushed = collector.flush()
-        assert len(flushed) == 2
+        assert collector.flush() == 2
         assert all(isinstance(part, bytes) for part in collector._retained)
-        assert [s.uid for s in flushed] == [3, 4]
         assert [s.uid for s in collector.synopses] == [0, 1, 2, 3, 4]
 
     def test_train_without_argument_reads_the_retained_frames(self):

@@ -158,11 +158,11 @@ class TestCollectorShutdown:
             stream.sink(synopsis(uid=i))
         frame = stream.flush_wire()
         # deliver in dribs: nothing decodes until the frame completes
-        assert collector.feed(frame[:4]) == []
+        assert collector.feed(frame[:4]) == 0
         assert collector.pending_bytes == 4
-        assert collector.feed(frame[4:10]) == []
-        decoded = collector.feed(frame[10:])
-        assert [s.uid for s in decoded] == [0, 1, 2]
+        assert collector.feed(frame[4:10]) == 0
+        assert collector.feed(frame[10:]) == 3
+        assert [s.uid for s in collector.synopses] == [0, 1, 2]
         assert collector.pending_bytes == 0
         assert collector.frames_received == 1
 
@@ -171,10 +171,10 @@ class TestCollectorShutdown:
         for i in range(4):  # under flush_size: still pending in the stream
             stream.sink(synopsis(uid=i))
         assert collector.count == 0
-        flushed = collector.flush()
-        assert [s.uid for s in flushed] == [0, 1, 2, 3]
+        assert collector.flush() == 4
+        assert [s.uid for s in collector.synopses] == [0, 1, 2, 3]
         assert collector.count == 4
-        assert collector.flush() == []  # nothing new
+        assert collector.flush() == 0  # nothing new
 
     def test_close_flushes_then_seals(self):
         collector, stream = self.make_pipeline(flush_size=10)

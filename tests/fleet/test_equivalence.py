@@ -20,7 +20,7 @@ def expected(model):
     from tests.shard.conftest import make_trace
 
     trace = make_trace(3000, seed=13, faults=True, uid_base=10_000)
-    single = AnomalyDetector(model)  # saadlint: disable=SH001
+    single = AnomalyDetector(model)
     for synopsis in trace:
         single.observe(synopsis)  # saadlint: disable=CP001
     single.flush()

@@ -42,11 +42,19 @@ def stage_synopses(cluster, stage_name, host_name=None):
     ]
 
 
+@pytest.fixture(scope="class")
+def healthy_run():
+    """One default cluster under the default clients for 60 s, shared by
+    the tests that only inspect it."""
+    cluster = make_cluster()
+    pool = start_clients(cluster)
+    cluster.run(until=60.0)
+    return cluster, pool
+
+
 class TestHealthyCluster:
-    def test_ops_succeed(self):
-        cluster = make_cluster()
-        pool = start_clients(cluster)
-        cluster.run(until=60.0)
+    def test_ops_succeed(self, healthy_run):
+        _cluster, pool = healthy_run
         records = pool.meter.records
         assert records
         assert sum(r.ok for r in records) / len(records) > 0.99
@@ -63,10 +71,8 @@ class TestHealthyCluster:
         owner = cluster.region_owner[cluster.region_name_for(key)]
         assert owner in cluster.regionservers
 
-    def test_call_and_handler_stages_emit(self):
-        cluster = make_cluster()
-        start_clients(cluster)
-        cluster.run(until=60.0)
+    def test_call_and_handler_stages_emit(self, healthy_run):
+        cluster, _pool = healthy_run
         assert stage_synopses(cluster, "Call")
         assert stage_synopses(cluster, "Handler")
 
@@ -98,21 +104,25 @@ class TestHealthyCluster:
         assert stage_synopses(cluster, "CompactionRequest")
 
 
+@pytest.fixture(scope="class")
+def crash_scenario():
+    """The 150 s run with host3's WAL failed at 30 s, shared by the tests
+    that only inspect it."""
+    cluster = make_cluster()
+    pool = start_clients(cluster)
+
+    def trigger():
+        yield cluster.env.timeout(30.0)
+        cluster.regionservers["host3"].force_wal_failure()
+
+    cluster.env.process(trigger())
+    cluster.run(until=150.0)
+    return cluster, pool
+
+
 class TestCrashAndFailover:
-    def run_crash_scenario(self):
-        cluster = make_cluster()
-        pool = start_clients(cluster)
-
-        def trigger():
-            yield cluster.env.timeout(30.0)
-            cluster.regionservers["host3"].force_wal_failure()
-
-        cluster.env.process(trigger())
-        cluster.run(until=150.0)
-        return cluster, pool
-
-    def test_forced_wal_failure_aborts_server(self):
-        cluster, _pool = self.run_crash_scenario()
+    def test_forced_wal_failure_aborts_server(self, crash_scenario):
+        cluster, _pool = crash_scenario
         rs3 = cluster.regionservers["host3"]
         assert not rs3.alive
         assert rs3.abort_reason == "premature recovery termination"
@@ -120,8 +130,8 @@ class TestCrashAndFailover:
             cluster.regionservers[n].alive for n in ("host1", "host2", "host4")
         )
 
-    def test_recovery_storm_hits_local_datanode(self):
-        cluster, _pool = self.run_crash_scenario()
+    def test_recovery_storm_hits_local_datanode(self, crash_scenario):
+        cluster, _pool = crash_scenario
         lps = cluster.hdfs.lps
         storm = [
             s
@@ -130,8 +140,8 @@ class TestCrashAndFailover:
         ]
         assert storm, "expected repeated in-progress recovery replies on host3"
 
-    def test_regions_reassigned_to_survivors(self):
-        cluster, _pool = self.run_crash_scenario()
+    def test_regions_reassigned_to_survivors(self, crash_scenario):
+        cluster, _pool = crash_scenario
         assert cluster.master.reassignments
         for region, dead, target in cluster.master.reassignments:
             assert dead == "host3"
@@ -141,8 +151,8 @@ class TestCrashAndFailover:
         assert stage_synopses(cluster, "PostOpenDeployTasksThread")
         assert stage_synopses(cluster, "SplitLogWorker")
 
-    def test_throughput_recovers_after_reassignment(self):
-        cluster, pool = self.run_crash_scenario()
+    def test_throughput_recovers_after_reassignment(self, crash_scenario):
+        cluster, pool = crash_scenario
         before = pool.meter.mean_throughput(5.0, 30.0)
         after = pool.meter.mean_throughput(90.0, 150.0)
         assert after > 0.75 * before

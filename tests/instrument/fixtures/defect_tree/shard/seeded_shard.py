@@ -1,29 +1,11 @@
-"""Seeded SH001/CP001 defects: shard-package detector misuse.
+"""Seeded CP001 defect: shard-package detector misuse.
 
-Planted defects (line numbers are asserted in test_lint.py):
+Planted defect (the line number is asserted in test_lint.py):
 
-* line 14 — bare ``AnomalyDetector(...)`` in worker code (SH001)
-* line 20 — attribute form ``detector_mod.AnomalyDetector(...)`` (SH001)
-* line 31 — per-task ``detector.observe(...)`` loop (CP001)
+* line 13 — per-task ``detector.observe(...)`` loop (CP001)
 
-The factory call and the batch replay below must stay quiet.
+The batch replay below must stay quiet.
 """
-
-
-def build_worker_detector(model, detector_mod):
-    bare = AnomalyDetector(model)  # noqa: F821 -- lint fixture
-
-    return bare
-
-
-def build_worker_detector_via_module(model, detector_mod):
-    qualified = detector_mod.AnomalyDetector(model)
-    return qualified
-
-
-def sanctioned_sites(model, shard_detector):
-    from_factory = shard_detector(model, shard_id=0)
-    return from_factory
 
 
 def replay_per_task(detector, trace):

@@ -431,58 +431,6 @@ class TestTR001:
         ) == []
 
 
-class TestSH001:
-    def test_direct_construction_in_shard_package_flagged(self):
-        diags = lint_source(
-            "def boot(model):\n"
-            "    return AnomalyDetector(model)\n",
-            path="repro/shard/worker.py",
-        )
-        assert rules_of(diags) == ["SH001"]
-        assert "shard_detector" in diags[0].hint
-
-    def test_attribute_form_flagged(self):
-        diags = lint_source(
-            "import repro.core.detector as det\n"
-            "def boot(model):\n"
-            "    return det.AnomalyDetector(model)\n",
-            path="shard/worker.py",
-        )
-        assert rules_of(diags) == ["SH001"]
-
-    def test_factory_call_ok(self):
-        assert lint_source(
-            "from repro.shard.factory import shard_detector\n"
-            "def boot(model):\n"
-            "    return shard_detector(model, shard_id=2)\n",
-            path="repro/shard/worker.py",
-        ) == []
-
-    def test_outside_shard_package_out_of_scope(self):
-        # Single-process deployments construct detectors directly; the
-        # factory contract only binds code living in a shard package.
-        assert lint_source(
-            "def boot(model):\n"
-            "    return AnomalyDetector(model)\n",
-            path="repro/core/pipeline.py",
-        ) == []
-
-    def test_advisory_severity(self):
-        diags = lint_source(
-            "def boot(model):\n"
-            "    return AnomalyDetector(model)\n",
-            path="shard/worker.py",
-        )
-        assert diags[0].severity_name == "info"
-
-    def test_suppression_comment(self):
-        assert lint_source(
-            "def boot(model):\n"
-            "    return AnomalyDetector(model)  # saadlint: disable=SH001\n",
-            path="shard/worker.py",
-        ) == []
-
-
 class TestCP001:
     def test_observe_loop_in_shard_package_flagged(self):
         diags = lint_source(
@@ -576,9 +524,7 @@ class TestSeededDefectTree:
         ("TR001", "seeded_sim.py", 59),
         ("TR001", "seeded_sim.py", 61),
         ("LP002", "logpoints.py", 12),
-        ("SH001", "seeded_shard.py", 14),
-        ("SH001", "seeded_shard.py", 20),
-        ("CP001", "seeded_shard.py", 31),
+        ("CP001", "seeded_shard.py", 13),
         ("CP001", "seeded_bench.py", 14),
         ("AS001", "seeded_concurrency.py", 23),  # handle -> _drain -> sleep
         ("RC001", "seeded_concurrency.py", 42),  # _spin writes sans lock

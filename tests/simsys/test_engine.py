@@ -296,3 +296,56 @@ def test_nested_subgenerators_with_yield_from():
     env.process(outer())
     env.run()
     assert trail == ["inner", "inner-done", "outer"]
+
+
+def test_run_pauses_the_cyclic_collector_and_restores_it():
+    import gc
+
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield env.timeout(1.0)
+        seen.append(gc.isenabled())
+
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        env.process(proc())
+        env.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+        # A caller that turned the collector off keeps it off.
+        gc.disable()
+        env.process(proc())
+        env.run()
+        assert not gc.isenabled()
+
+        # A run that raises turns it back on too.
+        gc.enable()
+
+        def failing():
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+        env.process(failing())
+        with pytest.raises(ValueError):
+            env.run()
+        assert gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_triggered_condition_leaves_pending_events():
+    env = Environment()
+    never = env.event()
+    winner = env.timeout(1.0)
+    condition = env.any_of([never, winner])
+    env.run()
+    assert condition.processed and condition.value == {winner: None}
+    # The event that never fires holds no reference back to the condition.
+    assert never.callbacks == []
