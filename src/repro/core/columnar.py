@@ -204,6 +204,18 @@ class CompiledModel:
         return stage.classify(sig_id, duration_us)
 
 
+def profile_rule(profile) -> Tuple[int, int]:
+    """``(flags, cut)`` lowered from one trained signature profile."""
+    flag, cut = KNOWN, NO_CUT
+    if profile.is_flow_outlier:
+        flag |= FLOW_OUTLIER
+    if profile.perf_eligible:
+        flag |= PERF_ELIGIBLE
+        if profile.duration_threshold is not None:
+            cut = exact_duration_cut(profile.duration_threshold)
+    return flag, cut
+
+
 def compile_model(
     model: OutlierModel,
     space: Optional[SignatureIdSpace] = None,
@@ -246,14 +258,7 @@ def compile_model(
             sig_id = space.id_of(signature)
             if sig_id is None or sig_id >= size:  # id space exhausted
                 continue
-            flag = KNOWN
-            if profile.is_flow_outlier:
-                flag |= FLOW_OUTLIER
-            if profile.perf_eligible:
-                flag |= PERF_ELIGIBLE
-                if profile.duration_threshold is not None:
-                    cuts[sig_id] = exact_duration_cut(profile.duration_threshold)
-            flags[sig_id] = flag
+            flags[sig_id], cuts[sig_id] = profile_rule(profile)
             m_signatures.inc()
         cell = (host_id << 8) | stage_id if per_host else stage_id
         stages[cell] = CompiledStage(
@@ -536,6 +541,7 @@ __all__ = [
     "decode_columns",
     "exact_duration_cut",
     "header_column",
+    "profile_rule",
     "resolve_sig_ids",
     "scan_frames",
     "window_boundaries",

@@ -30,17 +30,24 @@ from . import columnar
 from .config import SAADConfig
 from .features import FeatureVector, Signature, StageKey
 from .interning import SignatureIdSpace, canonical_tuple, signature_of_entries
-from .model import OutlierModel
+from .model import OutlierModel, TaskLabel
 from .stats import ProportionTest, proportion_exceeds_test
 from .synopsis import SYNOPSIS_ENTRY, SYNOPSIS_HEADER, TaskSynopsis
 
 FLOW = "flow"
 PERFORMANCE = "performance"
 
-#: Bound on the wire-ingest signature cache (raw entry bytes -> interned
-#: signature).  Real streams repeat a handful of shapes per stage; the
-#: cap only matters for adversarial inputs, where the cache resets.
-_WIRE_SIGNATURE_CACHE_MAX = 1 << 16
+#: Bound on the record route's rule cache (stage, raw entry bytes -> the
+#: signature and its compiled verdict).  Real streams repeat a handful of
+#: shapes per stage; the cap only matters for adversarial inputs.
+_WIRE_RULE_CACHE_MAX = 1 << 16
+
+#: The label ``CompiledStage.classify`` gives each verdict, indexed by
+#: its flag bits plus 8 when the duration exceeds the cut.
+_VERDICT_LABELS = tuple(
+    columnar.CompiledStage((0, 0), bytearray([bits & 7]), [0]).classify(0, bits >> 3)
+    for bits in range(16)
+)
 
 #: Records per vectorized slice of the batch detect path.  Bounds the
 #: working set of the gathered columns (~1 MiB of int64 per column).
@@ -48,8 +55,8 @@ _BATCH_CHUNK = 1 << 16
 
 #: Scanned batches with fewer records than this take the per-record
 #: loop; at or above it, the vector kernel.  Both are exact; the choice
-#: is by cost alone.  The kernel pays a fixed ~300 us of numpy call
-#: overhead per batch, the loop ~1.8 us per record: the measured table
+#: is by cost alone.  The kernel pays a fixed ~180 us of numpy call
+#: overhead per batch, the loop ~0.8 us per record: the measured table
 #: in DESIGN §13 puts the crossover at 512.
 _VECTOR_MIN_RECORDS = 512
 
@@ -71,7 +78,7 @@ _BATCH_INDEX_LIMIT = 1 << 28
 
 def _wire_bytes(frames) -> bytes:
     """Wire input as ``bytes``: ``bytes`` as is, ``bytearray`` or
-    ``memoryview`` copied (so the signature cache's keys are hashable and
+    ``memoryview`` copied (so the rule cache's keys are hashable and
     never pin the caller's buffer), an iterable of chunks joined."""
     if isinstance(frames, bytes):
         return frames
@@ -163,12 +170,12 @@ class AnomalyDetector:
         (:meth:`~repro.health.HealthEngine.note_anomaly`); a raising
         callback propagates to the caller.
 
-    Telemetry: the per-task path mutates plain private ints exposed via
-    callback-backed counters (``detector_tasks_observed``,
-    ``detector_bucket_probes``); the rare window-lifecycle path uses real
-    locked metrics — ``detector_windows_opened`` / ``_closed{stage}`` /
-    the ``detector_windows_open`` gauge, the ``detector_close_lag_seconds``
-    histogram, ``detector_anomalies{kind}``, ``detector_new_signatures``.
+    Telemetry: the per-task path and window opening touch plain private
+    state read by callbacks (``detector_tasks_observed``, ``_bucket_probes``,
+    ``_windows_opened``, the ``detector_windows_open`` gauge); the window
+    close path uses real locked metrics — ``detector_windows_closed{stage}``,
+    the ``detector_close_lag_seconds`` histogram,
+    ``detector_anomalies{kind}``, ``detector_new_signatures``.
     """
 
     def __init__(
@@ -204,11 +211,15 @@ class AnomalyDetector:
         self.anomalies: List[AnomalyEvent] = []
         self._tasks_seen = 0
         self._bucket_probe_count = 0
+        self._windows_opened = 0
         self._windows_closed = 0
         # (stage_key, signature) -> baseline proportion for the perf test.
         self._perf_baselines: Dict[Tuple[StageKey, Signature], float] = {}
-        # Wire ingest path: raw entry bytes -> interned signature.
-        self._wire_signatures: Dict[bytes, Signature] = {}
+        # Record route: packed stage int -> (stage key, {raw entry bytes ->
+        # (signature, flags, cut)}), read off the ``_wire_rules_of`` compile.
+        self._wire_rules: Dict[int, Tuple[StageKey, Dict[bytes, tuple]]] = {}
+        self._wire_rules_of: Optional[columnar.CompiledModel] = None
+        self._wire_rule_count = 0
         # Columnar batch path: compiled verdict tables plus the dense
         # signature-id space they are indexed by.  The space outlives
         # recompiles (it is append-only), so ids stay stable across model
@@ -238,12 +249,12 @@ class AnomalyDetector:
         self._m_columnar_batches = registry.counter(
             "columnar_batches", "observe_batch calls ingested"
         )
-        self._m_windows_opened = registry.counter(
+        registry.counter(
             "detector_windows_opened", "window buckets opened"
-        )
-        self._m_windows_open = registry.gauge(
+        ).set_function(lambda: self._windows_opened)
+        registry.gauge(
             "detector_windows_open", "window buckets currently open"
-        )
+        ).set_function(lambda: len(self._buckets))
         self._m_windows_closed = registry.counter(
             "detector_windows_closed",
             "windows finalized (ripe closes + flush)",
@@ -311,6 +322,7 @@ class AnomalyDetector:
         return self._observe(
             stage_key,
             synopsis.signature,
+            self.model.classify_parts(stage_key, synopsis.signature, synopsis.duration),
             synopsis.duration,
             synopsis.start_time,
             (synopsis.host_id, synopsis.uid) if self._tracing else None,
@@ -322,9 +334,11 @@ class AnomalyDetector:
         Same semantics as :meth:`observe`; used by replay paths that
         work from training traces rather than live synopses.
         """
+        stage_key = self.model.stage_key_for(feature)
         return self._observe(
-            self.model.stage_key_for(feature),
+            stage_key,
             feature.signature,
+            self.model.classify_parts(stage_key, feature.signature, feature.duration),
             feature.duration,
             feature.start_time,
             (feature.host_id, feature.uid) if self._tracing else None,
@@ -334,23 +348,27 @@ class AnomalyDetector:
         self,
         stage_key: StageKey,
         signature: Signature,
+        label: TaskLabel,
         duration: float,
         start_time: float,
         trace_key: Optional[Tuple[int, int]] = None,
     ) -> List[AnomalyEvent]:
-        """Classify one task into its window bucket; ``trace_key`` is its
-        ``(host_id, uid)`` when tracing is on, else None."""
+        """Count one classified task into its window bucket and close
+        what it ripened; ``trace_key`` is its ``(host_id, uid)`` when
+        tracing is on, else None.  The one accounting step of both the
+        object route and the record route."""
         self._tasks_seen += 1
-        label = self.model.classify_parts(stage_key, signature, duration)
-        index = int(start_time // self.config.window_s)
+        width = self.config.window_s
+        index = int(start_time // width)
         bucket = self._buckets.get((stage_key, index))
         if bucket is None:
             bucket = self._open_bucket(stage_key, index)
         bucket.n += 1
-        if label.any_flow:
-            bucket.flow_outliers += 1
         if label.new_signature:
+            bucket.flow_outliers += 1
             bucket.new_signatures.add(signature)
+        elif label.flow_outlier:
+            bucket.flow_outliers += 1
         if label.perf_eligible:
             counts = bucket.perf.get(signature)
             if counts is None:
@@ -371,7 +389,12 @@ class AnomalyDetector:
                 heapq.heapreplace(slow, (duration, trace_key))
         if start_time > self._watermark:
             self._watermark = start_time
-        return self._close_ripe_windows()
+        # _close_ripe_windows' own peek, inlined: the bucket above is
+        # open, so the heap is not empty.
+        if (self._index_heap[0] + 1) * width <= self._watermark - self.lateness_s:
+            return self._close_ripe_windows()
+        self._bucket_probe_count += 1
+        return []
 
     def _open_bucket(self, stage_key: StageKey, index: int) -> _WindowBucket:
         """Open the (stage key, window index) bucket; call only on a miss."""
@@ -382,8 +405,7 @@ class AnomalyDetector:
             heapq.heappush(self._index_heap, index)
         else:
             keys.append(stage_key)
-        self._m_windows_opened.inc()
-        self._m_windows_open.inc()
+        self._windows_opened += 1
         return bucket
 
     def observe_frame(self, frame, offset: int = 0) -> List[AnomalyEvent]:
@@ -619,31 +641,46 @@ class AnomalyDetector:
     def _observe_records(self, data: bytes, records: List[int]) -> List[AnomalyEvent]:
         """The per-record route over scanned record offsets.
 
-        Unpacks each record (signature through the entry-bytes cache,
-        trace key when tracing is on) and funnels it through
-        :meth:`_observe`.  Serves :meth:`observe_frame`, small or traced
-        batches, and guard-tripped chunks of the vector kernel.
+        Unpacks each record, classifies it against the compiled verdict
+        tables the vector kernel reads (through the rule cache, keyed by
+        stage and entry bytes) and funnels it through :meth:`_observe`.
+        Serves :meth:`observe_frame`, small or traced batches, and
+        guard-tripped chunks of the vector kernel.
         """
+        if not records:
+            return []
+        compiled = self.compiled_model()
+        if compiled is not self._wire_rules_of:  # a retrain or a model swap
+            self._wire_rules.clear()
+            self._wire_rules_of = compiled
+            self._wire_rule_count = 0
         events: List[AnomalyEvent] = []
         unpack_header = SYNOPSIS_HEADER.unpack_from
         header_size = SYNOPSIS_HEADER.size
         entry_size = SYNOPSIS_ENTRY.size
-        cache = self._wire_signatures
-        per_host = self.model.config.per_host
+        cache = self._wire_rules
+        per_host = compiled.per_host
         tracing = self._tracing
         observe = self._observe
         for record in records:
             host_id, stage_id, uid, ts_ms, duration_us, n = unpack_header(data, record)
+            stage_int = (host_id << 8) | stage_id if per_host else stage_id
+            stage = cache.get(stage_int)
+            if stage is None:
+                stage_key = (host_id, stage_id) if per_host else (0, stage_id)
+                stage = cache[stage_int] = (stage_key, {})
+            stage_key, rules = stage
             start = record + header_size
             entry_bytes = data[start : start + entry_size * n]
-            signature = cache.get(entry_bytes)
-            if signature is None:
-                if len(cache) >= _WIRE_SIGNATURE_CACHE_MAX:
-                    cache.clear()
-                signature = cache[entry_bytes] = signature_of_entries(entry_bytes)
+            rule = rules.get(entry_bytes)
+            if rule is None:
+                rule = self._wire_rule(compiled, stage_key, stage_int, entry_bytes)
+                rules[entry_bytes] = rule
+            signature, flags, cut = rule
             emitted = observe(
-                (host_id, stage_id) if per_host else (0, stage_id),
+                stage_key,
                 signature,
+                _VERDICT_LABELS[flags | 8 if duration_us > cut else flags],
                 duration_us / 1_000_000.0,
                 ts_ms / 1000.0,
                 (host_id, uid) if tracing else None,
@@ -652,14 +689,28 @@ class AnomalyDetector:
                 events.extend(emitted)
         return events
 
-    def flush(self) -> List[AnomalyEvent]:
-        """Close every open window (end of stream).
+    def _wire_rule(self, compiled, stage_key, stage_int, entry_bytes) -> tuple:
+        """``(signature, flags, cut)`` for a rule-cache miss.  Sig-ids are
+        looked up, never minted: a signature without one is novel, unless
+        the id space filled up before a retrain trained it."""
+        if self._wire_rule_count >= _WIRE_RULE_CACHE_MAX:
+            self._wire_rules.clear()  # the caller's stage entry goes too
+            self._wire_rule_count = 0
+        self._wire_rule_count += 1
+        signature = signature_of_entries(entry_bytes)
+        table = compiled.stages.get(stage_int)
+        sig_id = compiled.space.ids.get(signature)
+        flags, cut = 0, columnar.NO_CUT
+        if table is not None and sig_id is not None:
+            flags, cut = table.rule(sig_id)
+        elif table is not None and compiled.space.full:
+            profile = compiled.model.stages[stage_key].signatures.get(signature)
+            if profile is not None:
+                flags, cut = columnar.profile_rule(profile)
+        return signature, flags, cut
 
-        Also resets the per-window gauges: flush bypasses the ripe-close
-        path that decrements ``detector_windows_open``, so without the
-        explicit reset the gauge would stay stuck at the pre-flush open
-        count forever.
-        """
+    def flush(self) -> List[AnomalyEvent]:
+        """Close every open window (end of stream)."""
         emitted: List[AnomalyEvent] = []
         for index in sorted(self._index_keys):
             for stage_key in self._index_keys[index]:
@@ -667,7 +718,6 @@ class AnomalyDetector:
         self._buckets.clear()
         self._index_keys.clear()
         self._index_heap.clear()
-        self._m_windows_open.set(0)
         return emitted
 
     # -- fleet reroute support (DESIGN.md §16) ----------------------------------
@@ -697,7 +747,6 @@ class AnomalyDetector:
             if not keys:
                 del self._index_keys[index]
             dropped += 1
-            self._m_windows_open.dec()
         if dropped:
             # Rebuild the ripeness heap: indices whose last stage key
             # was disowned must not linger (an index miss would KeyError
@@ -744,7 +793,6 @@ class AnomalyDetector:
                 key = (stage_key, index)
                 emitted.extend(self._close_window(key))
                 del self._buckets[key]
-                self._m_windows_open.dec()
         return emitted
 
     def _close_window(self, key: Tuple[StageKey, int]) -> List[AnomalyEvent]:

@@ -186,11 +186,11 @@ class MetricFamily:
         self.label_names = tuple(label_names)
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], _Child] = {}
-        if not self.label_names:
-            # Unlabeled families exist (at zero) from the moment they are
-            # registered — matching Prometheus client behavior and keeping
-            # never-hit counters visible in snapshots.
-            self.labels()
+        # Unlabeled families exist (at zero) from the moment they are
+        # registered — matching Prometheus client behavior and keeping
+        # never-hit counters visible in snapshots — and keep that child
+        # at hand, so family-level updates skip the label-key rebuild.
+        self._unlabeled = None if self.label_names else self.labels()
 
     # -- children -------------------------------------------------------------
     def _new_child(self) -> _Child:
@@ -214,12 +214,13 @@ class MetricFamily:
 
     def _default(self) -> "_Child":
         """The single child of an unlabeled family."""
-        if self.label_names:
+        child = self._unlabeled
+        if child is None:
             raise ValueError(
                 f"{self.name} declares labels {self.label_names}; "
                 f"call .labels(...) first"
             )
-        return self.labels()
+        return child
 
     def set_function(self, fn: Callable[[], float]) -> None:
         """Callback-source the unlabeled child (see :meth:`_Child.set_function`)."""

@@ -163,14 +163,31 @@ class TestWindowing:
 
     def test_flush_resets_open_window_gauge(self, model):
         # Regression: flush() closes every remaining bucket but used to
-        # leave the windows_open gauge at its pre-flush value.
-        detector = AnomalyDetector(model)
+        # leave the windows_open gauge at its pre-flush value.  The gauge
+        # must equal the open bucket count after every step: opens, a
+        # ripe close, disown() and flush().
+        detector = AnomalyDetector(model, lateness_s=30.0)
+        gauge = detector.registry.get("detector_windows_open")
+        opened = detector.registry.get("detector_windows_opened")
+
+        def assert_open(count):
+            assert gauge.value == len(detector._buckets) == count
+
         for host in range(5):
             detector.observe(synopsis(host=host, uid=host, start=1.0))
-        gauge = detector.registry.get("detector_windows_open")
-        assert gauge.value == 5
+        assert_open(5)
+        # Within the lateness of window 0's end: nothing ripens ...
+        detector.observe(synopsis(stage=2, uid=10, start=61.0))
+        assert_open(6)
+        # ... past it: window 0's five buckets close.
+        detector.observe(synopsis(uid=11, start=125.0))
+        assert_open(2)
+        assert detector.windows_closed == 5
+        assert detector.disown([2]) == 1
+        assert_open(1)
         detector.flush()
-        assert gauge.value == 0
+        assert_open(0)
+        assert opened.value == 7
 
 
 class TestHeapWindowing:
@@ -307,7 +324,9 @@ class TestWireIngest:
         assert wire_path.flush() == object_path.flush() != []
         assert wire_path.tasks_seen == object_path.tasks_seen
         # A memoryview slice as cache key would pin the caller's buffer.
-        assert {type(key) for key in wire_path._wire_signatures} == {bytes}
+        assert {
+            type(key) for _, rules in wire_path._wire_rules.values() for key in rules
+        } == {bytes}
 
     @pytest.mark.parametrize("fault", ["entries", "header", "count"])
     def test_in_frame_faults_leave_the_same_state_from_every_entry(self, model, fault):

@@ -1,0 +1,232 @@
+"""The record route against the object route, task for task.
+
+``observe_frame`` and small ``observe_batch`` calls classify each record
+against the compiled verdict tables (integer microsecond cuts, sig-ids
+looked up in the compile's id space) through a rule cache keyed by
+stage and entry bytes; ``observe`` on the decoded synopses classifies
+with ``OutlierModel.classify_parts`` and float thresholds.  Both must
+leave the same window buckets, emit the same events with the same
+exemplar keys, and agree on every window count — across retrains and
+model swaps between frames, which a stale rule cache would get wrong.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import AnomalyDetector, OutlierModel, SAADConfig, TaskSynopsis
+from repro.core import detector as detector_module
+from repro.core import interning
+from repro.core.columnar import NO_CUT
+from repro.core.features import features_from
+from repro.core.interning import intern_signature
+from repro.core.synopsis import decode_frame, encode_frame
+from repro.tracing import Tracer
+
+WINDOW_MS = 1000
+DOMINANT = (1, 2, 4, 5)
+#: Signatures: trained everywhere, trained but rare (a flow outlier),
+#: trained only by the retrain trace, and never trained.
+SIGNATURES = (DOMINANT, (1, 2, 3, 4, 5), (1, 2, 6), (1, 2, 7), (1, 8))
+TRAINED_STAGES = (1, 2)
+
+
+def synopsis(host, stage, uid, ts_ms, duration_us, lps):
+    return TaskSynopsis(
+        host_id=host,
+        stage_id=stage,
+        uid=uid,
+        start_time=ts_ms / 1000.0,
+        duration=duration_us / 1_000_000.0,
+        log_points={lp: 1 for lp in lps},
+    )
+
+
+def training_trace(seed, scale, extra=None):
+    """Features of two hosts x two stages: one dominant signature, 5 % of
+    a second, one task of a rare third, plus ``extra`` at 10 %."""
+    rng = random.Random(seed)
+    trace = []
+    for uid in range(1600):
+        pick = uid % 200
+        lps = DOMINANT
+        if pick < 10:
+            lps = SIGNATURES[1]
+        elif pick == 10:
+            lps = SIGNATURES[2]
+        elif extra is not None and pick < 31:
+            lps = extra
+        duration_us = int(10_000 * scale * rng.lognormvariate(0, 0.3))
+        trace.append(synopsis(uid % 2, TRAINED_STAGES[uid // 2 % 2], uid, uid, duration_us, lps))
+    return features_from(trace)
+
+
+TRACE_A = training_trace(11, 1.0)
+TRACE_B = training_trace(12, 1.7)
+RETRAIN = training_trace(13, 0.6, extra=SIGNATURES[3])
+
+
+def train(trace, per_host):
+    config = SAADConfig(window_s=WINDOW_MS / 1000.0, min_window_tasks=3, per_host=per_host)
+    return OutlierModel(config).train_features(trace)
+
+
+def compiled_cuts():
+    """``(per_host, stage key, signature) -> cuts`` over every model the
+    tests train: a task there can land at a cut or 1 us either side."""
+    cuts = {}
+    for per_host in (True, False):
+        for trace in (TRACE_A, TRACE_B, RETRAIN):
+            compiled = AnomalyDetector(train(trace, per_host)).compiled_model()
+            for stage in compiled.stages.values():
+                for sig_id, cut in enumerate(stage.cuts):
+                    if cut != NO_CUT:
+                        key = (per_host, stage.stage_key, compiled.space.signature_of(sig_id))
+                        cuts.setdefault(key, []).append(cut)
+    return cuts
+
+
+CUTS = compiled_cuts()
+
+
+@st.composite
+def streams(draw):
+    per_host = draw(st.booleans())
+    lateness_ms = draw(st.sampled_from([0, 700, 2500]))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),  # host
+                st.sampled_from(TRAINED_STAGES + (3,)),  # stage 3 is untrained
+                st.sampled_from(SIGNATURES),
+                st.sampled_from(["advance", "boundary", "late"]),
+                st.integers(0, 2500),  # advance or lateness in ms
+                st.integers(0, 5),  # which cut, or 5: a free duration
+                st.integers(-1, 1),  # nudge off the cut
+                st.integers(0, 60_000),  # the free duration
+            ),
+            min_size=1,
+            max_size=90,
+        )
+    )
+    tasks = []
+    clock = 0
+    for uid, (host, stage, lps, step, ms, pick, nudge, free_us) in enumerate(rows):
+        if step == "advance":
+            clock += ms
+            ts_ms = clock
+        elif step == "boundary":
+            clock = (clock // WINDOW_MS + 1) * WINDOW_MS
+            ts_ms = clock
+        else:
+            ts_ms = max(0, clock - min(ms, lateness_ms))
+        stage_key = (host, stage) if per_host else (0, stage)
+        cuts = CUTS.get((per_host, stage_key, intern_signature(lps)), [])
+        duration_us = cuts[pick] + nudge if pick < len(cuts) else free_us
+        tasks.append(synopsis(host, stage, uid, ts_ms, duration_us, lps))
+    splits = draw(st.sets(st.integers(1, max(1, len(tasks) - 1)), max_size=6))
+    bounds = [0, *sorted(splits - {len(tasks)}), len(tasks)]
+    frames = [
+        (
+            tasks[lo:hi],
+            draw(st.sampled_from(["observe_frame", "observe_batch"])),
+            draw(st.sampled_from([None, "retrain", "swap"])),
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return per_host, lateness_ms / 1000.0, frames
+
+
+def exemplar_keys(events):
+    return [[(t.host_id, t.uid) for t in event.exemplars] for event in events]
+
+
+def assert_same(wire, obj, wire_events, obj_events):
+    assert wire_events == obj_events
+    assert exemplar_keys(wire_events) == exemplar_keys(obj_events)
+    assert wire._buckets == obj._buckets
+    assert wire.tasks_seen == obj.tasks_seen
+    assert wire.windows_closed == obj.windows_closed
+    gauges = [d.registry.get("detector_windows_open").value for d in (wire, obj)]
+    assert gauges == [len(obj._buckets)] * 2
+
+
+def replay(per_host, lateness_s, frames, tracing):
+    """Feed ``frames`` to a wire detector and, decoded, to an object
+    detector, comparing them after every frame and after the flush."""
+    model, other = train(TRACE_A, per_host), train(TRACE_B, per_host)
+    detectors = []
+    for _ in range(2):
+        tracer = None
+        if tracing:
+            tracer = Tracer(capacity=4096, registry=None)
+            tracer.set_model(model)
+            for tasks, _, _ in frames:
+                for s in tasks:
+                    tracer.finish(s, [(lp, s.start_time) for lp in sorted(s.log_points)])
+        detectors.append(AnomalyDetector(model, lateness_s=lateness_s, tracer=tracer))
+    wire, obj = detectors
+    for tasks, entry, between in frames:
+        frame = encode_frame(tasks)
+        wire_events = getattr(wire, entry)(frame)
+        obj_events = [e for s in decode_frame(frame)[0] for e in obj.observe(s)]
+        assert_same(wire, obj, wire_events, obj_events)
+        if between == "retrain":
+            wire.model.train_features(RETRAIN)
+        elif between == "swap":
+            wire.model = obj.model = other if wire.model is model else model
+    assert_same(wire, obj, wire.flush(), obj.flush())
+    assert wire.registry.get("detector_windows_open").value == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=streams(), tracing=st.booleans())
+def test_record_route_matches_object_route(stream, tracing):
+    replay(*stream, tracing)
+
+
+@pytest.mark.parametrize("cache_max", [None, 3])
+def test_retrain_and_swap_between_frames_rebuild_the_rules(cache_max, monkeypatch):
+    # The same shapes before and after each change of model: signature
+    # (1, 2, 7) is novel to TRACE_A and TRACE_B but trained by RETRAIN,
+    # and the durations straddle every model's cut.
+    stages = [(host, stage) for host in (0, 1) for stage in TRAINED_STAGES]
+    durations = sorted({c + d for cuts in CUTS.values() for c in cuts for d in (-1, 0, 1)})
+    tasks = [
+        synopsis(host, stage, uid, 10 * uid, durations[uid % len(durations)], lps)
+        for uid, ((host, stage), lps) in enumerate(
+            (key, lps) for lps in SIGNATURES for key in stages for _ in range(4)
+        )
+    ]
+    if cache_max is not None:  # the cache resets every few misses
+        monkeypatch.setattr(detector_module, "_WIRE_RULE_CACHE_MAX", cache_max)
+    frames = [
+        (tasks, "observe_frame", "retrain"),
+        (tasks, "observe_batch", "swap"),
+        (tasks, "observe_frame", "swap"),
+        (tasks, "observe_batch", None),
+    ]
+    for per_host in (True, False):
+        replay(per_host, 0.0, frames, tracing=False)
+
+
+def test_trained_signature_without_an_id_is_not_novel(monkeypatch):
+    # The id space filled up before a retrain introduced a signature:
+    # the recompile has no table row for it, yet it is trained.
+    model = train(TRACE_A, per_host=True)
+    wire, obj = AnomalyDetector(model), AnomalyDetector(model)
+    space = wire.compiled_model().space
+    monkeypatch.setattr(interning, "MAX_SIGNATURE_IDS", len(space) + 1)
+    space.id_of(frozenset({99}))
+    assert space.full
+    model.train(RETRAIN)
+    assert wire.compiled_model().space.ids.get(intern_signature(SIGNATURES[3])) is None
+    tasks = [synopsis(0, 1, uid, uid * 10, 10_000, SIGNATURES[3]) for uid in range(20)]
+    frame = encode_frame(tasks)
+    wire_events = wire.observe_frame(frame)
+    obj_events = [e for s in decode_frame(frame)[0] for e in obj.observe(s)]
+    assert_same(wire, obj, wire_events, obj_events)
+    assert wire._buckets and not any(b.new_signatures for b in wire._buckets.values())
+    assert wire.flush() == obj.flush()

@@ -1,5 +1,7 @@
 """Tests for the analyzer's statistical primitives."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,65 @@ class TestProportionTest:
         # The degenerate endpoint still rejects for large n at a tiny alpha.
         if n >= 30:
             assert proportion_exceeds_test(n, n, baseline, alpha=0.001).reject
+
+
+ALPHA = 0.001
+
+
+def assert_matches_t_sf(successes, n, baseline):
+    """``proportion_exceeds_test`` against ``scipy.stats.t.sf``, exactly.
+
+    The analyzer calls the Student-t kernel ``scipy.special.stdtr``;
+    ``scipy.stats`` (a much heavier import) is the reference here only.
+    Returns the reference p-value, or None where no t-test runs.
+    """
+    from scipy import stats
+
+    result = proportion_exceeds_test(successes, n, baseline, alpha=ALPHA)
+    phat = successes / n
+    if n < 2 or phat <= baseline or phat == 1.0:
+        return None
+    statistic = (phat - baseline) / math.sqrt(phat * (1.0 - phat) / (n - 1))
+    want = float(stats.t.sf(statistic, df=n - 1))
+    assert result.statistic == statistic
+    assert result.p_value == want
+    assert result.reject == (want < ALPHA)
+    return want
+
+
+class TestStudentTail:
+    @pytest.mark.parametrize("baseline", [0.001, 0.01, 0.2])
+    @pytest.mark.parametrize("n", [2, 3, 6, 21, 101, 1001, 10001, 100001])
+    def test_grid_straddles_alpha(self, n, baseline):
+        # The smallest success count that rejects, by bisection on the
+        # reference p-value, and its neighbours: p just above, at the
+        # crossing, and just below alpha.  df = n - 1 runs from 1 to 1e5.
+        lo, hi = math.floor(baseline * n) + 1, n - 1
+        if lo > hi or assert_matches_t_sf(hi, n, baseline) >= ALPHA:
+            assert n <= 6  # too few tasks to reject: check every count
+            for k in range(n + 1):
+                assert_matches_t_sf(k, n, baseline)
+            return
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if assert_matches_t_sf(mid, n, baseline) < ALPHA:
+                hi = mid
+            else:
+                lo = mid + 1
+        for k in range(max(0, lo - 2), min(n, lo + 3)):
+            assert_matches_t_sf(k, n, baseline)
+        assert assert_matches_t_sf(lo, n, baseline) < ALPHA
+        if lo - 1 > baseline * n:
+            assert assert_matches_t_sf(lo - 1, n, baseline) >= ALPHA
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 100_001),
+        share=st.floats(0.0, 1.0),
+        baseline=st.floats(0.0, 1.0),
+    )
+    def test_matches_scipy_stats_t_sf(self, n, share, baseline):
+        assert_matches_t_sf(round(share * n), n, baseline)
 
 
 class TestPercentile:

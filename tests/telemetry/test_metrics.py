@@ -75,6 +75,31 @@ class TestCounter:
         snapshot = CounterFamily("c", help="h").collect()
         assert snapshot["samples"] == [{"labels": {}, "value": 0.0}]
 
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_unlabeled_updates_reach_one_cached_child(self, kind, monkeypatch):
+        family = {"counter": CounterFamily, "gauge": GaugeFamily, "histogram": HistogramFamily}[kind](kind)
+        child = family.labels()
+        # Family-level updates must not rebuild a label key per call.
+        monkeypatch.setattr(family, "labels", lambda **_: pytest.fail("labels() called"))
+        if kind == "histogram":
+            family.observe(2.0)
+            family.observe(3.0)
+            assert (child.count, child.sum) == (2, 5.0)
+        else:
+            family.inc(2)
+            family.inc()
+            assert child.value == family.value == 3
+
+    def test_labelled_family_still_needs_labels(self):
+        for family in (
+            CounterFamily("c", label_names=("host",)),
+            GaugeFamily("g", label_names=("host",)),
+            HistogramFamily("h", label_names=("host",)),
+        ):
+            update = family.observe if family.kind == "histogram" else family.inc
+            with pytest.raises(ValueError, match="call .labels"):
+                update(1)
+
     def test_callback_backed_series(self):
         state = {"n": 0}
         family = CounterFamily("c")
