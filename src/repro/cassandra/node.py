@@ -161,7 +161,7 @@ class CassandraNode:
         if event.triggered:
             yield self.env.timeout(0)
             return True
-        yield self.env.any_of([event, self.env.timeout(timeout_s)])
+        yield self.env.deadline(event, timeout_s)
         return event.triggered
 
     @property

@@ -111,8 +111,14 @@ class SimThreadContext(ThreadContextProvider):
         self._fallback: Dict[str, Any] = {}
 
     def slot(self) -> Dict[str, Any]:
-        """The active simulated thread's locals (main-thread fallback)."""
-        thread = self.env.active_thread
+        """The active simulated thread's locals (main-thread fallback).
+
+        Reads the environment's active process directly rather than
+        through its ``active_thread`` property: this runs on every log
+        call and task start of a simulation.
+        """
+        process = self.env._active_process
+        thread = process.thread if process is not None else None
         return thread.locals if thread is not None else self._fallback
 
     def thread_name(self) -> str:

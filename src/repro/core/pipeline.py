@@ -303,9 +303,10 @@ class SAAD:
         return self.add_node(
             host_name,
             context=SimThreadContext(env),
-            # ``env.now`` read without a lambda frame: the clock runs on
-            # every logging call and every task start.
-            clock=partial(getattr, env, "now"),
+            # ``env.now`` read without a Python frame (neither a lambda
+            # nor the property's getter): the clock runs on every logging
+            # call and every task start.
+            clock=partial(getattr, env, "_now"),
             **kwargs,
         )
 

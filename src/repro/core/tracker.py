@@ -398,12 +398,7 @@ class TaskExecutionTracker:
                 raise
         else:
             synopsis = TaskSynopsis(
-                host_id=self.host_id,
-                stage_id=task.stage_id,
-                uid=task.uid,
-                start_time=task.start_time,
-                duration=duration,
-                log_points=log_points,
+                self.host_id, task.stage_id, task.uid, task.start_time, duration, log_points
             )
         task.tasks_completed += 1
         task.log_calls_tracked += task.visits

@@ -138,7 +138,7 @@ class RegionServer:
         if event.triggered:
             yield self.env.timeout(0)
             return True
-        yield self.env.any_of([event, self.env.timeout(timeout_s)])
+        yield self.env.deadline(event, timeout_s)
         return event.triggered
 
     def _start_periodic(self, stage: str, interval_s: float, body) -> None:

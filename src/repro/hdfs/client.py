@@ -54,7 +54,7 @@ class DfsWriteStream:
         waiter = Event(self.env)
         self._waiters[seqno] = waiter
         self._packets.try_put(_Packet(seqno, 0 if empty else nbytes, empty=empty))
-        yield self.env.any_of([waiter, self.env.timeout(timeout_s)])
+        yield self.env.deadline(waiter, timeout_s)
         self._waiters.pop(seqno, None)
         if waiter.triggered:
             self.bytes_written += nbytes
@@ -68,7 +68,7 @@ class DfsWriteStream:
             return True
         self.closed = True
         self._packets.try_put(_Packet(CLOSE_PACKET, 0))
-        yield self.env.any_of([self._close_event, self.env.timeout(timeout_s)])
+        yield self.env.deadline(self._close_event, timeout_s)
         self._packets.close()
         self._acks.close()
         self.client.cluster.unregister_stream(self.block.block_id)
@@ -201,9 +201,7 @@ class DFSClient:
                     return False
                 primary = alive[0]
             result = primary.recover_block(block.block_id)
-            yield self.env.any_of(
-                [result, self.env.timeout(self.recovery_attempt_timeout_s)]
-            )
+            yield self.env.deadline(result, self.recovery_attempt_timeout_s)
             if result.triggered and result.ok and result.value == "ok":
                 return True
             # BUG: "in-progress" (and timeouts) treated as failures.

@@ -10,18 +10,13 @@ Two layers:
 * **Verification (saadlint)** — a multi-pass static analyzer that checks
   an entire source tree for instrumentation and staging defects: log
   points the tracker can't follow (LP001–LP004), stage-context holes
-  (ST001–ST003), sim-clock violations (CC001), and — over a
-  project-wide call graph (:mod:`.callgraph`) — whole-program
-  concurrency defects (AS001/RC001/DL001/SP001/WP001, see
-  :mod:`.concurrency`).  See :mod:`.facts`, :mod:`.lint`, :mod:`.cfg`,
-  :mod:`.diagnostics`, :mod:`.baseline`, :mod:`.reporters`, and the
-  ``python -m repro lint`` CLI (:mod:`.cli`).
+  (ST001–ST003), and sim-clock violations (CC001).  See :mod:`.facts`,
+  :mod:`.lint`, :mod:`.cfg`, :mod:`.diagnostics`, :mod:`.baseline`,
+  :mod:`.reporters`, and the ``python -m repro lint`` CLI (:mod:`.cli`).
 """
 
 from .baseline import Baseline, find_default_baseline
-from .callgraph import CallEdge, CallGraph, build_callgraph
 from .cfg import CFG, build_cfg
-from .concurrency import CONCURRENCY_RULES, check_concurrency
 from .diagnostics import Diagnostic, LintResult, RULES
 from .facts import FileFacts, collect_file
 from .lint import ALL_RULES, LintEngine, lint_source, load_files, run_lint
@@ -41,9 +36,6 @@ __all__ = [
     "ALL_RULES",
     "Baseline",
     "CFG",
-    "CONCURRENCY_RULES",
-    "CallEdge",
-    "CallGraph",
     "DEQUEUE_METHODS",
     "Diagnostic",
     "FileFacts",
@@ -55,10 +47,8 @@ __all__ = [
     "RewriteWarning",
     "ScanResult",
     "StageCandidate",
-    "build_callgraph",
     "build_cfg",
     "build_registry",
-    "check_concurrency",
     "collect_file",
     "find_default_baseline",
     "instrument_source",

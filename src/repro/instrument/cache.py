@@ -1,8 +1,9 @@
 """Content-hash result cache for full-tree lint runs.
 
-Whole-program rules (AS001/RC001/DL001/SP001/WP001, LP004 drift) make
-per-file caching unsound — a finding in one file can depend on any other
-file in the tree — so the cache key covers the *entire* input: the
+Cross-file rules (LP001 resolves templates through the tree-wide
+log-point inventory, LP004 drift compares the whole scan) make per-file
+caching unsound — a finding in one file can depend on any other file in
+the tree — so the cache key covers the *entire* input: the
 sorted ``(path, sha1(content))`` list, the resolved rule selection, and
 a registry fingerprint (rule ids/severities/titles), so editing any
 linted file, changing ``--select``/``--ignore``, or upgrading the rule

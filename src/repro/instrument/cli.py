@@ -73,13 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept all current findings into the baseline file and exit 0",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="collect file facts with N worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="skip the content-hash result cache (always analyze)",
@@ -159,7 +152,6 @@ def _main(argv: Optional[List[str]] = None) -> int:
                 ignore=ignore,
                 registry=registry,
                 registry_label=args.registry or "<registry>",
-                jobs=args.jobs,
             )
         except ValueError as exc:
             print(f"saadlint: {exc}", file=sys.stderr)

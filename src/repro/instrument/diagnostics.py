@@ -129,57 +129,6 @@ RULES: Dict[str, Rule] = {
             "the private attribute or go through the registry instead.",
         ),
         Rule(
-            "AS001",
-            ERROR,
-            "blocking call reachable from an async handler",
-            "A real blocking primitive (time.sleep, blocking socket/file/"
-            "queue ops, subprocess) transitively reachable from an async "
-            "def without crossing a spawn boundary stalls the event loop "
-            "and starves every other coroutine — the interprocedural "
-            "generalization of CC001, resolved over the project call "
-            "graph.",
-        ),
-        Rule(
-            "RC001",
-            WARNING,
-            "guarded attribute written without its lock",
-            "Lockset-lite race detection: when a class guards state with "
-            "`with self._lock:` somewhere, any write to that attribute on "
-            "a path that does not hold the lock (construction excluded) "
-            "can tear or lose updates once the object is shared across "
-            "thread, coroutine, or worker entry points.",
-        ),
-        Rule(
-            "DL001",
-            ERROR,
-            "inconsistent lock acquisition order (deadlock cycle)",
-            "The global lock-acquisition-order graph (nested with-blocks "
-            "plus acquisitions reached through calls made while holding a "
-            "lock) contains a cycle; two threads taking the locks in "
-            "opposite orders deadlock permanently.",
-        ),
-        Rule(
-            "SP001",
-            WARNING,
-            "process-local state captured in a spawn payload",
-            "Values passed to mp.Process args or sent over an mp.Pipe that "
-            "reference unpicklable or process-local state (sync "
-            "primitives, open sockets/files, module-level interning "
-            "tables mutated after import) either fail to pickle or "
-            "silently hand the child a frozen copy that diverges from "
-            "the parent.",
-        ),
-        Rule(
-            "WP001",
-            ERROR,
-            "struct pack format without a matching unpack site",
-            "Wire-protocol symmetry: every struct pack format/field order "
-            "in the codec and shard framing must have a matching unpack "
-            "site somewhere in the tree, or the producer writes bytes no "
-            "reader in this codebase can decode — asymmetric codecs "
-            "drift silently until the wire breaks.",
-        ),
-        Rule(
             "SL001",
             WARNING,
             "suppression comment names an unknown rule",

@@ -2,17 +2,10 @@
 
 One :class:`FileFacts` per source file holds everything later passes
 need — log call sites, log-point inventory definitions, per-function
-facts, import alias maps, and the raw AST — collected in a single
-visitor walk so the file is parsed exactly once.  The facts layer has
+facts (with their AST nodes), and import alias maps — collected in a
+single visitor walk so the file is parsed exactly once.  The facts layer has
 no rule logic: :mod:`repro.instrument.lint` (per-file and
-template-resolution rules), :mod:`repro.instrument.callgraph`
-(whole-program call graph), and :mod:`repro.instrument.concurrency`
-(the concurrency rule families) all consume it.
-
-This module is also the unit of parallelism for ``lint --jobs N``:
-:func:`collect_file` is a module-level function over picklable inputs
-and outputs, so a process pool can fan file collection out and ship
-the facts back to the coordinating process.
+template-resolution rules) consumes it.
 """
 
 from __future__ import annotations
@@ -29,7 +22,6 @@ __all__ = [
     "InventoryDef",
     "LogSite",
     "collect_file",
-    "iter_own_nodes",
     "parse_suppressions",
     "receiver_name",
     "suppressed_rules",
@@ -105,49 +97,26 @@ class InventoryDef:
 
 @dataclass
 class FunctionFacts:
-    """Per-function facts for the CFG and call-graph rules."""
+    """Per-function facts for the ST and CC rules."""
 
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     qualname: str
-    owner_class: Optional[str]
     is_generator: bool
     has_set_context: bool
     has_end_task: bool
     has_log_calls: bool
     has_dequeue: bool
 
-    @property
-    def is_async(self) -> bool:
-        """Whether this is an ``async def`` (an AS001 entry point)."""
-        return isinstance(self.node, ast.AsyncFunctionDef)
-
-
-@dataclass
-class ClassFacts:
-    """Per-class facts consumed by the whole-program passes."""
-
-    name: str
-    line: int
-    #: Base class names resolvable as plain identifiers (``Thread`` for
-    #: ``class X(Thread)``, ``Thread`` again for ``threading.Thread``).
-    bases: List[str] = field(default_factory=list)
-    #: attribute name -> class name, for ``self.attr = ClassName(...)``
-    #: assignments anywhere in the class body (receiver typing).
-    attr_types: Dict[str, str] = field(default_factory=dict)
-
 
 @dataclass
 class FileFacts:
     path: str
-    tree: ast.AST
     lines: List[str]
     log_sites: List[LogSite] = field(default_factory=list)
     inventory: List[InventoryDef] = field(default_factory=list)
     functions: List[FunctionFacts] = field(default_factory=list)
     #: class name -> (has run() method, has any log call, has set_context)
     classes: Dict[str, Tuple[bool, bool, bool, int]] = field(default_factory=dict)
-    #: class name -> structured class facts (bases, attribute types).
-    class_facts: Dict[str, ClassFacts] = field(default_factory=dict)
     #: Aliases of the real ``time`` module in this file ({"time", "_time"}).
     time_aliases: Set[str] = field(default_factory=set)
     #: Names bound to ``time.sleep`` via ``from time import sleep [as x]``.
@@ -162,10 +131,6 @@ class FileFacts:
     os_aliases: Set[str] = field(default_factory=set)
     subprocess_aliases: Set[str] = field(default_factory=set)
     socket_aliases: Set[str] = field(default_factory=set)
-    #: Every ``import M [as x]``: bound name -> full module path.
-    module_aliases: Dict[str, str] = field(default_factory=dict)
-    #: Every ``from M import n [as x]``: bound name -> (module, orig name).
-    from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: (line, col, attribute, receiver) of writes to telemetry-backed
     #: accounting properties (TM001).
     telemetry_mutations: List[Tuple[int, int, str, str]] = field(
@@ -181,35 +146,11 @@ class FileFacts:
     detect_loop_calls: List[Tuple[int, int, str, str]] = field(
         default_factory=list
     )
-    #: Module-level ``NAME = struct.Struct("<fmt>")`` definitions:
-    #: name -> format literal (None when the format is built dynamically).
-    struct_defs: Dict[str, Optional[str]] = field(default_factory=dict)
-    #: Module-level names bound to mutable literals/constructors
-    #: ({} / [] / set() / dict() / list()) — candidate interning tables.
-    mutable_globals: Set[str] = field(default_factory=set)
-    #: Global names mutated from inside a function in this file
-    #: (subscript store, ``.add``/``.append``/``.update``/... calls).
-    mutated_globals: Set[str] = field(default_factory=set)
     #: Inline suppression directives: line -> set of rule tokens.
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
 
 
 _SUPPRESSION_MARKER = "saadlint:"
-_MUTATING_METHODS = frozenset(
-    {
-        "add",
-        "append",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popitem",
-        "remove",
-        "setdefault",
-        "update",
-    }
-)
 
 
 def parse_suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
@@ -262,9 +203,6 @@ class _Collector(ast.NodeVisitor):
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
-            self.facts.module_aliases[bound] = (
-                alias.name if alias.asname else alias.name.split(".")[0]
-            )
             if alias.name == "time":
                 self.facts.time_aliases.add(bound)
             elif alias.name == "queue":
@@ -281,7 +219,6 @@ class _Collector(ast.NodeVisitor):
         module = node.module or ""
         for alias in node.names:
             bound = alias.asname or alias.name
-            self.facts.from_imports[bound] = (module, alias.name)
             if module == "time" and alias.name == "sleep":
                 self.facts.sleep_aliases.add(bound)
             elif module == "queue" and alias.name == "Queue":
@@ -295,15 +232,6 @@ class _Collector(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._class_stack.append(node.name)
         self.facts.classes[node.name] = (False, False, False, node.lineno)
-        bases = []
-        for base in node.bases:
-            if isinstance(base, ast.Name):
-                bases.append(base.id)
-            elif isinstance(base, ast.Attribute):
-                bases.append(base.attr)
-        self.facts.class_facts[node.name] = ClassFacts(
-            name=node.name, line=node.lineno, bases=bases
-        )
         self.generic_visit(node)
         self._class_stack.pop()
 
@@ -315,7 +243,6 @@ class _Collector(ast.NodeVisitor):
         facts = FunctionFacts(
             node=node,
             qualname=qual,
-            owner_class=owner,
             is_generator=_is_generator(node),
             has_set_context=False,
             has_end_task=False,
@@ -413,14 +340,6 @@ class _Collector(ast.NodeVisitor):
                     func.attr,
                 )
             )
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
-            receiver = func.value
-            if (
-                isinstance(receiver, ast.Name)
-                and self._current
-                and receiver.id in self.facts.mutable_globals
-            ):
-                self.facts.mutated_globals.add(receiver.id)
         self.generic_visit(node)
 
     def _mark(self, log=False, set_context=False, end_task=False) -> None:
@@ -453,45 +372,11 @@ class _Collector(ast.NodeVisitor):
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._note_telemetry_write(node.target, node)
-        self._note_global_mutation(node.target)
         self.generic_visit(node)
-
-    def _note_global_mutation(self, target: ast.expr) -> None:
-        if (
-            isinstance(target, ast.Subscript)
-            and isinstance(target.value, ast.Name)
-            and self._current
-            and target.value.id in self.facts.mutable_globals
-        ):
-            self.facts.mutated_globals.add(target.value.id)
-
-    def _note_struct_def(self, target: ast.expr, value: ast.expr) -> None:
-        """Module-level ``NAME = struct.Struct(...)`` (or an alias of one)."""
-        if self._current or self._class_stack or not isinstance(target, ast.Name):
-            return
-        if _is_struct_ctor(value, self.facts):
-            fmt = None
-            first = value.args[0] if value.args else None
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                fmt = first.value
-            self.facts.struct_defs[target.id] = fmt
-        elif (
-            isinstance(value, ast.Name) and value.id in self.facts.struct_defs
-        ):
-            # ``PUBLIC = _PRIVATE`` alias: same packed layout.
-            self.facts.struct_defs[target.id] = self.facts.struct_defs[value.id]
-        elif isinstance(value, (ast.Dict, ast.List, ast.Set)) or (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in ("dict", "list", "set")
-        ):
-            self.facts.mutable_globals.add(target.id)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._note_telemetry_write(target, node)
-            self._note_global_mutation(target)
-            self._note_struct_def(target, node.value)
         template = _register_call_template(node.value)
         if template is not None and len(node.targets) == 1:
             target = node.targets[0]
@@ -510,40 +395,7 @@ class _Collector(ast.NodeVisitor):
                         owner=self._class_stack[-1],
                     )
                 )
-        # Receiver typing: ``self.attr = ClassName(...)`` anywhere in a
-        # class body records attr -> ClassName for the call-graph pass.
-        if (
-            self._class_stack
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Attribute)
-            and isinstance(node.targets[0].value, ast.Name)
-            and node.targets[0].value.id == "self"
-            and isinstance(node.value, ast.Call)
-        ):
-            ctor = node.value.func
-            ctor_name = (
-                ctor.id
-                if isinstance(ctor, ast.Name)
-                else ctor.attr if isinstance(ctor, ast.Attribute) else None
-            )
-            if ctor_name:
-                owner = self.facts.class_facts.get(self._class_stack[-1])
-                if owner is not None:
-                    owner.attr_types.setdefault(node.targets[0].attr, ctor_name)
         self.generic_visit(node)
-
-
-def _is_struct_ctor(value: ast.expr, facts: FileFacts) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    if isinstance(func, ast.Attribute) and func.attr == "Struct":
-        base = func.value
-        if isinstance(base, ast.Name):
-            return facts.module_aliases.get(base.id) == "struct"
-    if isinstance(func, ast.Name):
-        return facts.from_imports.get(func.id) == ("struct", "Struct")
-    return False
 
 
 def receiver_name(node: ast.expr) -> str:
@@ -584,24 +436,6 @@ def _owning_function(root, target) -> Optional[ast.AST]:
                 return child_owner
             stack.append((child, child_owner))
     return owner
-
-
-def iter_own_nodes(func_node: ast.AST):
-    """Walk a function body, pruning nested def/class subtrees.
-
-    Yields every AST node that executes *as part of this function* —
-    nested function and class bodies are separate scopes with their own
-    :class:`FunctionFacts` entries, so whole-program passes must not
-    attribute their calls to the enclosing function.  Lambda bodies stay
-    included (they have no facts entry of their own).
-    """
-    stack = list(ast.iter_child_nodes(func_node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _is_thread_run(node) -> bool:
@@ -656,10 +490,8 @@ def blocking_call_description(
 ) -> Optional[str]:
     """Describe ``node`` when it is a real, thread-blocking primitive.
 
-    Shared by CC001 (sim event handlers must stay on the virtual clock)
-    and AS001 (nothing reachable from a coroutine may stall the event
-    loop).  Returns None for calls that are not statically known to
-    block.
+    CC001's sink set: sim event handlers must stay on the virtual clock.
+    Returns None for calls that are not statically known to block.
     """
     func = node.func
     if isinstance(func, ast.Name):
@@ -692,17 +524,8 @@ def blocking_call_description(
 def collect_file(path: str, source: str) -> FileFacts:
     """Parse ``source`` and collect one file's facts (pass 1)."""
     tree = ast.parse(source, filename=path)
-    facts = FileFacts(path=path, tree=tree, lines=source.splitlines())
+    facts = FileFacts(path=path, lines=source.splitlines())
     _Collector(facts).visit(tree)
     facts.suppressions = parse_suppressions(facts.lines)
     return facts
 
-
-def read_and_collect(path: str) -> FileFacts:
-    """Read ``path`` from disk and collect its facts.
-
-    Module-level so ``lint --jobs N`` can map it over a process pool
-    (the returned facts, AST included, pickle cleanly).
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        return collect_file(path, handle.read())

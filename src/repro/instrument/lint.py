@@ -16,10 +16,8 @@ The analyzer walks a source tree in three passes:
    CFGs (see :mod:`repro.instrument.cfg`), CC001 over simulated
    event-handler code, TM001 over writes to telemetry-backed
    accounting properties, TR001 over manual tracer span calls in
-   sim/server code, and the whole-program concurrency families
-   (AS001/RC001/DL001/SP001/WP001) over the project call graph
-   (:mod:`repro.instrument.callgraph` +
-   :mod:`repro.instrument.concurrency`).
+   sim/server code, CP001 over per-task detect loops on batch-capable
+   paths, and SL001 over suppression comments.
 
 Findings come back as :class:`~repro.instrument.diagnostics.Diagnostic`
 objects; the baseline layer (:mod:`repro.instrument.baseline`) filters
@@ -30,26 +28,21 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import LogPointRegistry
 
 from .cfg import CFG, build_cfg
-from .concurrency import CONCURRENCY_RULES, check_concurrency
 from .diagnostics import Diagnostic, LintResult, RULES
-from .facts import (  # noqa: F401  (re-exported for backward compatibility)
-    BLOCKING_BUILTINS as _BLOCKING_BUILTINS,
-    END_TASK as _END_TASK,
-    SET_CONTEXT as _SET_CONTEXT,
-    SUBPROCESS_BLOCKING as _SUBPROCESS_BLOCKING,
+from .facts import (
+    END_TASK,
+    SET_CONTEXT,
     FileFacts,
-    FunctionFacts,
     InventoryDef,
     LogSite,
     blocking_call_description,
     collect_file,
     real_queue_names,
-    suppressed_rules as _suppressed_rules,
 )
 from .scanner import LOG_METHODS
 
@@ -144,14 +137,8 @@ class LintEngine:
     # -- entry points ---------------------------------------------------------
     def run(self, paths: Iterable[str]) -> LintResult:
         files, parse_errors = load_files(paths)
-        return self.run_collected(files, parse_errors)
-
-    def run_collected(
-        self, files: List[FileFacts], parse_errors: Optional[List[str]] = None
-    ) -> LintResult:
-        """Pass 2+3 over already-collected facts (the ``--jobs`` path)."""
         result = LintResult()
-        result.parse_errors = list(parse_errors or [])
+        result.parse_errors = parse_errors
         result.files_scanned = len(files)
         diagnostics = self.check_files(files)
         by_path = {facts.path: facts for facts in files}
@@ -178,8 +165,6 @@ class LintEngine:
             diagnostics.extend(self._check_file(facts, inventory_by_attr))
         if "LP004" in self.rules and self.registry is not None:
             diagnostics.extend(self._check_registry_drift(files))
-        if self.rules & CONCURRENCY_RULES:
-            diagnostics.extend(check_concurrency(files, self.rules))
         return diagnostics
 
     # -- LP family ------------------------------------------------------------
@@ -521,7 +506,7 @@ class LintEngine:
             if not func.has_set_context:
                 continue
             cfg = build_cfg(func.node)
-            context_nodes = cfg.nodes_matching(_stmt_calls(_SET_CONTEXT))
+            context_nodes = cfg.nodes_matching(_stmt_calls(SET_CONTEXT))
             if not context_nodes:
                 continue  # set_context only in nested defs/lambdas
             if "ST002" in self.rules and func.has_log_calls:
@@ -553,7 +538,7 @@ class LintEngine:
 
     def _st003(self, facts, func, cfg: CFG, context_nodes) -> List[Diagnostic]:
         out = []
-        end_nodes = cfg.nodes_matching(_stmt_calls(_END_TASK))
+        end_nodes = cfg.nodes_matching(_stmt_calls(END_TASK))
         blocked = end_nodes | context_nodes
         for index in sorted(context_nodes):
             node = cfg.nodes[index]
@@ -663,26 +648,11 @@ def _python_files(paths: Iterable[str]) -> List[str]:
     return out
 
 
-def load_files(
-    paths: Iterable[str], jobs: int = 1
-) -> Tuple[List[FileFacts], List[str]]:
-    """Collect facts for every python file under ``paths`` (pass 1).
-
-    With ``jobs > 1`` the per-file collection fans out over a process
-    pool — pass 1 dominates a cold full-tree run, and each file is
-    independent.  Results come back in deterministic path order either
-    way.  Any pool failure (e.g. a restricted environment that cannot
-    spawn) falls back to in-process collection.
-    """
-    names = _python_files(paths)
+def load_files(paths: Iterable[str]) -> Tuple[List[FileFacts], List[str]]:
+    """Collect facts for every python file under ``paths`` (pass 1)."""
     files: List[FileFacts] = []
     parse_errors: List[str] = []
-    if jobs > 1 and len(names) > 1:
-        try:
-            return _load_files_parallel(names, jobs)
-        except (ImportError, OSError, PermissionError):
-            pass
-    for path in names:
+    for path in _python_files(paths):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 source = handle.read()
@@ -692,40 +662,19 @@ def load_files(
     return files, parse_errors
 
 
-def _load_files_parallel(
-    names: Sequence[str], jobs: int
-) -> Tuple[List[FileFacts], List[str]]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .facts import read_and_collect
-
-    files: List[FileFacts] = []
-    parse_errors: List[str] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [(path, pool.submit(read_and_collect, path)) for path in names]
-        for path, future in futures:
-            try:
-                files.append(future.result())
-            except SyntaxError as exc:
-                parse_errors.append(f"{path}: {exc}")
-    return files, parse_errors
-
-
 def run_lint(
     paths: Iterable[str],
     select: Optional[Iterable[str]] = None,
     ignore: Iterable[str] = (),
     registry: Optional[LogPointRegistry] = None,
     registry_label: str = "<registry>",
-    jobs: int = 1,
 ) -> LintResult:
     """Run saadlint over ``paths`` and return the raw (unbaselined) result."""
     engine = LintEngine(
         select=select, ignore=ignore, registry=registry,
         registry_label=registry_label,
     )
-    files, parse_errors = load_files(paths, jobs=jobs)
-    return engine.run_collected(files, parse_errors)
+    return engine.run(paths)
 
 
 def lint_source(

@@ -11,7 +11,7 @@ regardless of verbosity; only rendering and appending are skipped.
 from __future__ import annotations
 
 import time as _time
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional
 
 from .appenders import Appender
@@ -25,6 +25,46 @@ ThreadNamer = Callable[[], str]
 #: without the named tuple's Python-level ``__new__``: one is built on
 #: every logging call.
 _new_call = partial(tuple.__new__, LogCall)
+
+
+@lru_cache(maxsize=None)
+def _level_helper(level: int) -> Callable[..., None]:
+    """The logging funnel with ``level`` bound: ``Logger.debug`` and kin.
+
+    Every logging call, suppressed or not, runs this one body: the
+    interceptors see the call first, then the record is rendered and
+    appended only at or above the logger's effective level.  Binding the
+    level here rather than passing it on to a shared method keeps a
+    logging call to one Python frame; simulations make one per log point
+    they pass.
+    """
+
+    def log_at(self: "Logger", template: str, *args, lpid: Optional[int] = None) -> None:
+        repo = self.repository
+        now = repo.clock()
+        interceptors = repo.interceptors
+        if interceptors:
+            call = _new_call((lpid, level, self.name, now))
+            for interceptor in interceptors:
+                interceptor.on_log(call)
+        threshold = self._effective
+        if threshold is None:
+            threshold = self.level
+        if level < threshold:
+            return
+        record = LogRecord(
+            time=now,
+            level=level,
+            logger_name=self.name,
+            thread_name=repo.thread_namer(),
+            template=template,
+            args=args,
+            lpid=lpid,
+        )
+        for appender in repo.appenders:
+            appender.append(record)
+
+    return log_at
 
 
 class Logger:
@@ -75,51 +115,15 @@ class Logger:
 
     # -- logging calls -----------------------------------------------------------
     def log(self, level: int, template: str, *args, lpid: Optional[int] = None) -> None:
-        """The single funnel all level helpers call."""
-        self._emit(level, template, args, lpid)
+        """Log at any ``level`` (the level helpers below are this funnel)."""
+        _level_helper(level)(self, template, *args, lpid=lpid)
 
-    def _emit(self, level: int, template: str, args: tuple, lpid: Optional[int]) -> None:
-        repo = self.repository
-        now = repo.clock()
-        interceptors = repo.interceptors
-        if interceptors:
-            call = _new_call((lpid, level, self.name, now))
-            for interceptor in interceptors:
-                interceptor.on_log(call)
-        threshold = self._effective
-        if threshold is None:
-            threshold = self.level
-        if level < threshold:
-            return
-        record = LogRecord(
-            time=now,
-            level=level,
-            logger_name=self.name,
-            thread_name=repo.thread_namer(),
-            template=template,
-            args=args,
-            lpid=lpid,
-        )
-        for appender in repo.appenders:
-            appender.append(record)
-
-    def trace(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self._emit(TRACE, template, args, lpid)
-
-    def debug(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self._emit(DEBUG, template, args, lpid)
-
-    def info(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self._emit(INFO, template, args, lpid)
-
-    def warn(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self._emit(WARN, template, args, lpid)
-
-    def error(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self._emit(ERROR, template, args, lpid)
-
-    def fatal(self, template: str, *args, lpid: Optional[int] = None) -> None:
-        self._emit(FATAL, template, args, lpid)
+    trace = _level_helper(TRACE)
+    debug = _level_helper(DEBUG)
+    info = _level_helper(INFO)
+    warn = _level_helper(WARN)
+    error = _level_helper(ERROR)
+    fatal = _level_helper(FATAL)
 
     def __repr__(self) -> str:
         return f"<Logger {self.name!r}>"

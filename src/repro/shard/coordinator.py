@@ -147,6 +147,13 @@ class ShardedAnalyzer:
         try:
             for shard_id in range(shards):
                 parent_conn, child_conn = context.Pipe()
+                # A forked worker starts with copies of this side's pipe
+                # ends, its own included; it closes them (see worker_main).
+                inherited = (
+                    [*self._conns, parent_conn]
+                    if context.get_start_method() == "fork"
+                    else []
+                )
                 process = context.Process(
                     target=worker_main,
                     args=(
@@ -158,6 +165,7 @@ class ShardedAnalyzer:
                             exemplars_per_window=exemplars_per_window,
                             tracing=tracing,
                         ),
+                        inherited,
                     ),
                     daemon=True,
                     name=f"saad-shard-{shard_id}",

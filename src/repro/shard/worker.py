@@ -98,14 +98,22 @@ def _stats(detector, busy_seconds: float) -> dict:
     }
 
 
-def worker_main(conn, init: WorkerInit) -> None:
+def worker_main(conn, init: WorkerInit, inherited=()) -> None:
     """Run one shard worker until the parent sends ``("close",)``.
 
     ``conn`` is the worker end of a ``multiprocessing.Pipe``.  Busy time
     is accounted with ``time.process_time`` — CPU seconds actually spent
     in this process — so the pipeline-throughput model stays honest even
     when workers time-share cores.
+
+    ``inherited`` are the parent-side pipe ends a ``fork`` start copied
+    into this process (this worker's and every earlier worker's).  They
+    are closed first: while any process holds a copy, the parent closing
+    its end never reaches that pipe's worker as end-of-file, and a pool
+    torn down after a worker error would wait out its join timeout.
     """
+    for other in inherited:
+        other.close()
     try:
         registry = MetricsRegistry()
         detector = AnomalyDetector(

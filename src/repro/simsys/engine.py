@@ -17,7 +17,7 @@ import heapq
 from typing import Any, Generator, Iterable, Optional
 
 from .errors import Interrupted, SimError, StopSimulation
-from .events import Event, NORMAL, PENDING, Timeout, URGENT, all_of, any_of
+from .events import Event, NORMAL, PENDING, Timeout, URGENT, all_of, any_of, deadline
 
 
 class Process(Event):
@@ -128,6 +128,9 @@ class Environment:
         self._queue: list = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: Cancelled timeouts (see :func:`~repro.simsys.events.deadline`)
+        #: still sitting in the queue since its last compaction.
+        self._cancelled = 0
 
     # -- clock --------------------------------------------------------------
     @property
@@ -167,6 +170,14 @@ class Environment:
         """Condition that triggers when any of ``events`` has triggered."""
         return any_of(self, events)
 
+    def deadline(self, event: Event, timeout: float):
+        """Condition that triggers when ``event`` has, or after ``timeout``.
+
+        ``any_of([event, timeout(timeout)])`` whose timeout is cancelled
+        when ``event`` wins (:func:`~repro.simsys.events.deadline`).
+        """
+        return deadline(self, event, timeout)
+
     # -- scheduling ---------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Queue ``event`` for processing ``delay`` seconds from now."""
@@ -178,6 +189,34 @@ class Environment:
     def peek(self) -> float:
         """Time of the next queued event, or ``inf`` when idle."""
         return self._queue[0][0] if self._queue else float("inf")
+
+    def _cancel(self, timeout: Timeout) -> None:
+        """Mark a queued timeout that nothing can wait on as processed.
+
+        The queue skips it when its time comes, as it would a timeout
+        with no callbacks.  Once cancelled entries outnumber the live
+        ones, the queue is compacted: a deadline-bounded simulation keeps
+        one dead timeout per finished wait, far more than it has live
+        events, and every push and pop pays for the queue's depth.
+        """
+        timeout.callbacks = None
+        self._cancelled = cancelled = self._cancelled + 1
+        queue = self._queue
+        if cancelled >= 64 and 2 * cancelled > len(queue):
+            live = []
+            latest = None
+            for entry in queue:
+                if entry[3].callbacks is not None:
+                    live.append(entry)
+                elif latest is None or entry > latest:
+                    latest = entry
+            if latest is not None:
+                # The latest cancelled entry stays, so a run that drains
+                # its queue still ends at the same time.
+                live.append(latest)
+            queue[:] = live
+            heapq.heapify(queue)
+            self._cancelled = 1 if latest is not None else 0
 
     def step(self) -> None:
         """Process the single next event."""

@@ -148,15 +148,26 @@ class Condition(Event):
     ``evaluate`` receives ``(events, triggered_count)`` and returns True once
     the condition holds.  The condition's value is a dict mapping each
     triggered event to its value.
+
+    ``timer`` is a :class:`Timeout` among ``events`` that only this
+    condition can wait on (see :func:`deadline`): once the condition is
+    decided, the timer is cancelled instead of left to fire into nothing.
     """
 
-    __slots__ = ("_events", "_evaluate", "_count")
+    __slots__ = ("_events", "_evaluate", "_count", "_timer")
 
-    def __init__(self, env, evaluate: Callable[[list, int], bool], events):
+    def __init__(
+        self,
+        env,
+        evaluate: Callable[[list, int], bool],
+        events,
+        timer: Optional["Timeout"] = None,
+    ):
         super().__init__(env)
         self._events = events = list(events)
         self._evaluate = evaluate
         self._count = 0
+        self._timer = timer
         for event in events:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
@@ -200,6 +211,9 @@ class Condition(Event):
             callbacks = event.callbacks
             if callbacks is not None and check in callbacks:
                 callbacks.remove(check)
+        timer = self._timer
+        if timer is not None and timer.callbacks == []:
+            self.env._cancel(timer)
 
 
 def _all_triggered(events: list, count: int) -> bool:
@@ -221,3 +235,17 @@ def any_of(env, events) -> Condition:
     if not events:
         raise ValueError("any_of() requires at least one event")
     return Condition(env, _any_triggered, events)
+
+
+def deadline(env, event: Event, timeout: float) -> Condition:
+    """A condition that triggers once ``event`` has, or ``timeout`` elapses.
+
+    The same condition as ``any_of([event, env.timeout(timeout)])``, down
+    to its value and the order in which it schedules events, except that
+    the timeout is the condition's own: when ``event`` wins, the timeout
+    is cancelled.  A simulation that bounds most of its waits this way
+    would otherwise carry one dead timeout per wait in its event queue
+    until the timeout's time comes.
+    """
+    timer = Timeout(env, timeout)
+    return Condition(env, _any_triggered, (event, timer), timer=timer)

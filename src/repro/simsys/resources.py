@@ -220,8 +220,7 @@ class Gate:
         if timeout is None:
             yield waiter
             return True
-        timer = self.env.timeout(timeout)
-        yield self.env.any_of([waiter, timer])
+        yield self.env.deadline(waiter, timeout)
         if waiter.triggered:
             return True
         try:

@@ -1,24 +1,18 @@
-"""Seeded wire-protocol defects (WP001) and a bad suppression (SL001).
+"""A seeded bad suppression (SL001) on a small wire codec.
 
-Planted defects (asserted line-exactly by TestSeededDefectTree):
+Planted defect (asserted line-exactly by TestSeededDefectTree):
 
-* WP001 — ``TRAILER`` ("<Q") is packed in ``encode`` but never
-  unpacked anywhere in the tree (the TRAILER.pack call line).
 * SL001 — the ``FOOTER`` line carries a suppression naming the
-  nonexistent rule WP999.
+  nonexistent rule WP999.  An unknown id suppresses nothing, so the
+  directive only hides the author's intent.
+
+Everything else here is clean.
 """
 
 import struct
 
 RECORD = struct.Struct("<IHB")
-TRAILER = struct.Struct("<Q")
 FOOTER = struct.Struct("<4s")  # saadlint: disable=WP999
-
-
-def encode(seq, kind, flag, stamp):
-    head = RECORD.pack(seq, kind, flag)
-    tail = TRAILER.pack(stamp)
-    return head + tail + FOOTER.size * b"\x00"
 
 
 def decode(blob):

@@ -1,4 +1,4 @@
-"""Tests for the content-hash result cache and the ``--jobs`` path."""
+"""Tests for the content-hash result cache."""
 
 import json
 import time
@@ -12,10 +12,10 @@ from repro.instrument.cache import (
 )
 from repro.instrument.cli import main
 from repro.instrument.diagnostics import Diagnostic, LintResult
-from repro.instrument.lint import load_files, run_lint
 
 
-ASYNC_DEFECT = "import time\n\nasync def handler():\n    time.sleep(1)\n"
+#: One CC001 finding: a real sleep inside a generator event handler.
+SIM_DEFECT = "import time\n\ndef handler():\n    time.sleep(1)\n    yield\n"
 
 
 def _result_with(*diags, parse_errors=(), suppressed=(), files_scanned=1):
@@ -39,15 +39,15 @@ class TestCacheKey:
         target = tmp_path / "mod.py"
         target.write_text("x = 1\n")
         paths = [str(target)]
-        assert cache_key(paths, ["LP001"]) != cache_key(paths, ["AS001"])
+        assert cache_key(paths, ["LP001"]) != cache_key(paths, ["CC001"])
 
     def test_key_is_stable_and_order_insensitive(self, tmp_path):
         a = tmp_path / "a.py"
         b = tmp_path / "b.py"
         a.write_text("x = 1\n")
         b.write_text("y = 2\n")
-        key = cache_key([str(a), str(b)], ["LP001", "AS001"])
-        assert cache_key([str(b), str(a)], ["AS001", "LP001"]) == key
+        key = cache_key([str(a), str(b)], ["LP001", "CC001"])
+        assert cache_key([str(b), str(a)], ["CC001", "LP001"]) == key
 
     def test_unreadable_file_still_produces_key(self, tmp_path):
         missing = tmp_path / "gone.py"
@@ -59,11 +59,11 @@ class TestStoreLoad:
     def test_round_trip_preserves_result(self, tmp_path):
         cache = str(tmp_path / "cache.json")
         diag = Diagnostic(
-            rule_id="AS001", path="mod.py", line=4, col=4,
+            rule_id="CC001", path="mod.py", line=4, col=4,
             message="blocking call time.sleep() reachable", hint="offload",
         )
         muted = Diagnostic(
-            rule_id="RC001", path="mod.py", line=9, col=8, message="racy write",
+            rule_id="ST002", path="mod.py", line=9, col=8, message="racy write",
         )
         stored = _result_with(
             diag, parse_errors=["bad.py: boom"], suppressed=[muted],
@@ -110,7 +110,7 @@ class TestCliCache:
     def test_warm_run_replays_identical_report(self, tmp_path, capsys):
         tree = tmp_path / "proj"
         tree.mkdir()
-        (tree / "mod.py").write_text(ASYNC_DEFECT)
+        (tree / "mod.py").write_text(SIM_DEFECT)
         cache = tmp_path / "cache.json"
         code1, cold = self._lint(tree, cache, capsys=capsys)
         assert code1 == 1 and cache.exists()
@@ -121,11 +121,11 @@ class TestCliCache:
     def test_edit_invalidates_cache(self, tmp_path, capsys):
         tree = tmp_path / "proj"
         tree.mkdir()
-        (tree / "mod.py").write_text(ASYNC_DEFECT)
+        (tree / "mod.py").write_text(SIM_DEFECT)
         cache = tmp_path / "cache.json"
         self._lint(tree, cache, capsys=capsys)
         (tree / "mod.py").write_text(
-            ASYNC_DEFECT + "\nasync def again():\n    time.sleep(2)\n"
+            SIM_DEFECT + "\ndef again():\n    time.sleep(2)\n    yield\n"
         )
         _, report = self._lint(tree, cache, capsys=capsys)
         assert len(report["findings"]) == 2
@@ -154,26 +154,6 @@ class TestCliCache:
         assert report["clean"]
         payload = json.loads(cache.read_text())
         assert len(payload["entries"]) == 2
-
-
-class TestJobs:
-    def test_parallel_collection_matches_serial(self, tmp_path):
-        tree = tmp_path / "proj"
-        tree.mkdir()
-        (tree / "a.py").write_text(ASYNC_DEFECT)
-        (tree / "b.py").write_text("def f(:\n")  # syntax error
-        (tree / "c.py").write_text("y = 2\n")
-        serial = run_lint([str(tree)], jobs=1)
-        parallel = run_lint([str(tree)], jobs=2)
-        assert parallel.diagnostics == serial.diagnostics
-        assert parallel.parse_errors == serial.parse_errors
-        assert parallel.files_scanned == serial.files_scanned
-
-    def test_load_files_parallel_order_is_deterministic(self, tmp_path):
-        for name in ("z.py", "a.py", "m.py"):
-            (tmp_path / name).write_text("x = 1\n")
-        files, _ = load_files([str(tmp_path)], jobs=2)
-        assert [f.path for f in files] == sorted(f.path for f in files)
 
 
 @pytest.mark.lint

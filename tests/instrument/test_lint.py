@@ -526,13 +526,6 @@ class TestSeededDefectTree:
         ("LP002", "logpoints.py", 12),
         ("CP001", "seeded_shard.py", 13),
         ("CP001", "seeded_bench.py", 14),
-        ("AS001", "seeded_concurrency.py", 23),  # handle -> _drain -> sleep
-        ("RC001", "seeded_concurrency.py", 42),  # _spin writes sans lock
-        ("DL001", "seeded_concurrency.py", 53),  # _alock -> _block
-        ("DL001", "seeded_concurrency.py", 58),  # _block -> _alock
-        ("SP001", "seeded_spawn.py", 30),  # Lock in Process args
-        ("SP001", "seeded_spawn.py", 33),  # interning table over Pipe
-        ("WP001", "seeded_wire.py", 20),  # TRAILER packed, never unpacked
         ("SL001", "seeded_wire.py", 15),  # disable=WP999 typo
     }
 

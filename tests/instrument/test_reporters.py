@@ -23,13 +23,13 @@ def _sample_result():
     result.files_scanned = 2
     result.diagnostics = [
         Diagnostic(
-            rule_id="AS001", path="svc/gateway.py", line=23, col=8,
+            rule_id="CC001", path="svc/gateway.py", line=23, col=8,
             message="blocking call time.sleep() reachable from async handle()",
             hint="offload via asyncio.to_thread or use an async equivalent",
             severity=ERROR,
         ),
         Diagnostic(
-            rule_id="RC001", path="svc/counter.py", line=42, col=8,
+            rule_id="ST002", path="svc/counter.py", line=42, col=8,
             message="attribute 'total' written without holding SharedCounter._lock",
             severity=WARNING,
         ),
@@ -50,7 +50,7 @@ class TestJsonReporter:
         "files_scanned": 2,
         "findings": [
             {
-                "rule": "AS001",
+                "rule": "CC001",
                 "severity": "error",
                 "path": "svc/gateway.py",
                 "line": 23,
@@ -61,10 +61,10 @@ class TestJsonReporter:
                 "hint": (
                     "offload via asyncio.to_thread or use an async equivalent"
                 ),
-                "fingerprint": "0469d054a421a759",
+                "fingerprint": "719f1ecb4b8ca9c3",
             },
             {
-                "rule": "RC001",
+                "rule": "ST002",
                 "severity": "warning",
                 "path": "svc/counter.py",
                 "line": 42,
@@ -74,7 +74,7 @@ class TestJsonReporter:
                     "SharedCounter._lock"
                 ),
                 "hint": "",
-                "fingerprint": "1b6686cdb5e2645d",
+                "fingerprint": "a75f0cc36d02c4a6",
             },
         ],
         "suppressed": [
@@ -90,7 +90,7 @@ class TestJsonReporter:
             },
         ],
         "parse_errors": ["svc/broken.py: invalid syntax (line 3)"],
-        "counts": {"AS001": 1, "RC001": 1},
+        "counts": {"CC001": 1, "ST002": 1},
         "clean": False,
     }
 
@@ -112,10 +112,10 @@ class TestJsonReporter:
 class TestTextReporter:
     def test_locations_hints_and_summary(self):
         text = render_text(_sample_result())
-        assert "svc/gateway.py:23:8: error AS001" in text
+        assert "svc/gateway.py:23:8: error CC001" in text
         assert "    hint: offload via asyncio.to_thread" in text
         assert "parse error: svc/broken.py" in text
-        assert "2 finding(s) in 2 file(s) [AS001:1, RC001:1], 1 suppressed" in text
+        assert "2 finding(s) in 2 file(s) [CC001:1, ST002:1], 1 suppressed" in text
 
     def test_verbose_lists_suppressed(self):
         quiet = render_text(_sample_result(), verbose=False)
@@ -164,26 +164,28 @@ class TestSuppressionParsing:
 
 class TestUnknownRuleWarning:
     def test_unknown_rule_id_flags_sl001(self):
-        diags = lint_source(
-            "import struct\n"
-            "FMT = struct.Struct('<Q')  # saadlint: disable=WP999\n"
-        )
-        sl = [d for d in diags if d.rule_id == "SL001"]
-        assert len(sl) == 1
-        assert "WP999" in sl[0].message
-        assert sl[0].line == 2
+        # The second id belongs to a retired rule: it reads as unknown too.
+        for unknown in ("WP999", "RC001"):
+            diags = lint_source(
+                "import struct\n"
+                f"FMT = struct.Struct('<Q')  # saadlint: disable={unknown}\n"
+            )
+            sl = [d for d in diags if d.rule_id == "SL001"]
+            assert len(sl) == 1
+            assert unknown in sl[0].message
+            assert sl[0].line == 2
 
     def test_known_rule_ids_do_not_trigger_sl001(self):
         diags = lint_source(
             "import struct\n"
-            "FMT = struct.Struct('<Q')  # saadlint: disable=WP001,SL001\n"
+            "FMT = struct.Struct('<Q')  # saadlint: disable=CC001,SL001\n"
         )
         assert [d.rule_id for d in diags] == []
 
     def test_mixed_known_and_unknown_flags_only_unknown(self):
         diags = lint_source(
             "import struct\n"
-            "FMT = struct.Struct('<Q')  # saadlint: disable=WP001,ZZ123\n"
+            "FMT = struct.Struct('<Q')  # saadlint: disable=CC001,ZZ123\n"
         )
         assert [d.rule_id for d in diags] == ["SL001"]
         assert "ZZ123" in diags[0].message
@@ -192,6 +194,6 @@ class TestUnknownRuleWarning:
         diags = lint_source(
             "import struct\n"
             "FMT = struct.Struct('<Q')"
-            "  # saadlint: disable=WP001,WP999,SL001\n"
+            "  # saadlint: disable=CC001,WP999,SL001\n"
         )
         assert diags == []

@@ -162,6 +162,9 @@ class TestLifecycle:
         finally:
             pool.closed = True
             pool._terminate()
+        # Both workers exited on their own (the healthy one on end-of-file);
+        # neither had to be terminated.
+        assert [process.exitcode for process in pool._procs] == [0, 0]
 
 
 class TestExemplarRouting:

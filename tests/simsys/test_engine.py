@@ -349,3 +349,86 @@ def test_triggered_condition_leaves_pending_events():
     assert condition.processed and condition.value == {winner: None}
     # The event that never fires holds no reference back to the condition.
     assert never.callbacks == []
+
+
+def run_bounded_waits(bounded):
+    """300 processes each wait on a signal bounded by a timeout.
+
+    Two signals in three come within a second (one in five of those
+    fails instead of succeeding) and are bounded by 9 s, the latest time
+    anything is queued for; the rest never come and time out at 5 s.
+    Returns each wake-up as (time, waiter, outcome), the clock once the
+    queue drained, and the queue's length when the last waiter to beat
+    its timeout woke.
+    """
+    env = Environment()
+    trail = []
+    depths = []
+
+    def waiter(i):
+        signal = env.event()
+
+        def fire():
+            yield env.timeout(0.5 + (i % 7) * 0.1)
+            if i % 5:
+                signal.succeed(i)
+            else:
+                signal.fail(ValueError(i))
+
+        if i % 3:
+            env.process(fire())
+        try:
+            outcome = yield bounded(env, signal, 9.0 if i % 3 else 5.0)
+            trail.append((env.now, i, sorted(repr(v) for v in outcome.values())))
+        except ValueError as exc:
+            trail.append((env.now, i, repr(exc)))
+        if env.now < 5.0:
+            depths.append(len(env._queue))
+
+    for i in range(300):
+        env.process(waiter(i))
+    env.run()
+    return trail, env.now, depths[-1]
+
+
+def test_deadline_is_any_of_with_its_own_timeout():
+    """Same wake-ups, values and final clock as ``any_of([event, timeout])``,
+    with the timeouts of the waits that ended early cancelled and
+    compacted out of the queue."""
+    trail, now, depth = run_bounded_waits(
+        lambda env, event, delay: env.any_of([event, env.timeout(delay)])
+    )
+    bounded_trail, bounded_now, bounded_depth = run_bounded_waits(
+        lambda env, event, delay: env.deadline(event, delay)
+    )
+    assert bounded_trail == trail
+    assert bounded_now == now == 9.0
+    assert sum(1 for t, _i, _o in trail if t < 5.0) == 200
+    assert bounded_depth < depth / 2
+
+
+def test_compacting_cancelled_timeouts_keeps_what_the_queue_holds():
+    """Waits decided at once cancel their timeouts, and the queue is
+    compacted as they pile up.  A timeout queued before anyone waits on
+    it still fires, and a drained run still ends at the latest time
+    anything was queued for, cancelled or not."""
+    env = Environment()
+    done = env.event()
+    done.succeed()
+    env.run()
+    late = env.timeout(100.0)
+    depths = []
+    woke = []
+
+    def waits():
+        for delay in range(128, 0, -1):
+            yield env.deadline(done, float(delay))
+            depths.append(len(env._queue))
+        yield late
+        woke.append(env.now)
+
+    env.process(waits())
+    env.run()
+    assert woke == [100.0]
+    assert env.now == 128.0
+    assert max(depths) <= 66
