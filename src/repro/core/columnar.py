@@ -295,6 +295,7 @@ def scan_frames(
     """
     one_frame = one_frame or strict
     offsets: List[int] = []
+    append = offsets.append
     unpack_frame = FRAME_HEADER.unpack_from
     header_size = _HEADER_SIZE
     entry_size = _ENTRY_SIZE
@@ -309,20 +310,21 @@ def scan_frames(
         frame_end = start + length
         if total < frame_end:
             return offsets, end, "truncated frame payload"
+        before = len(offsets)
+        # One compare per record: a record whose header fits is taken
+        # on trust, and an overrun shows as a walk past ``frame_end``.
+        last_header = frame_end - header_size
         record = start
-        seen = 0
+        while record <= last_header:
+            append(record)
+            record += header_size + entry_size * data[record + count_at]
         error = None
-        while record < frame_end:
-            if frame_end - record < header_size:
-                error = "truncated synopsis header"
-                break
-            record_end = record + header_size + entry_size * data[record + count_at]
-            if record_end > frame_end:
-                error = "truncated synopsis log point entries"
-                break
-            offsets.append(record)
-            seen += 1
-            record = record_end
+        if record > frame_end:
+            offsets.pop()
+            error = "truncated synopsis log point entries"
+        elif record < frame_end:
+            error = "truncated synopsis header"
+        seen = len(offsets) - before
         if strict:
             # Checked after the walk so the detect path's loop pays
             # nothing for it; a record before the break point still
@@ -381,56 +383,77 @@ def route_payload(
     return counts
 
 
+def _field_view(b, at: int, code: str):
+    """Zero-copy view of the uint8 array ``b`` whose element ``i`` is the
+    ``code`` value (little-endian, unaligned) starting at byte ``at + i``."""
+    width = _np.dtype(code).itemsize
+    return _np.ndarray((max(len(b) - at - width + 1, 0),), code, b, at, (1,))
+
+
 def header_column(b, offs, name: str):
     """One ``SYNOPSIS_HEADER`` field of the records at ``offs``, as int64.
 
     ``b`` is the buffer as a uint8 array, ``offs`` the record offsets
     (:func:`scan_frames`) as an int64 array, ``name`` one of ``host_id``,
     ``stage_id``, ``uid``, ``ts_ms``, ``duration_us``, ``n_entries``.
+    One gather through an unaligned view of the field's own width.
     """
     at, nbytes = HEADER_FIELDS[name]
-    value = b[offs + at].astype(_np.int64)
-    for i in range(1, nbytes):
-        value |= b[offs + at + i].astype(_np.int64) << (8 * i)
-    if name == "duration_us":
-        value = value.astype(_np.uint32).view(_np.int32).astype(_np.int64)
-    return value
+    code = "<i4" if name == "duration_us" else f"<u{nbytes}"
+    return _field_view(b, at, code)[offs].astype(_np.int64)
+
+
+#: Odd 64-bit multiplier of :func:`resolve_sig_ids`' record keys.
+_KEY_MIX = 0x9E3779B97F4A7C15
 
 
 def resolve_sig_ids(b, offs, counts, space: SignatureIdSpace):
     """Sig-id column for the records at ``offs`` (numpy path).
 
-    ``counts`` is the per-record log-point entry count column.  Records
-    are grouped by entry count; within a group the fixed-width entry
-    byte patterns are gathered into rows and deduplicated
-    (``np.unique`` on a void view — exact byte equality, no hashing
-    tricks), so the Python-level signature interning runs once per
-    *distinct* pattern instead of once per task.  Returns None when the
-    id space fills up mid-batch (callers fall back to the exact scalar
-    path).
+    ``offs`` are the records' entry offsets and ``counts`` their entry
+    counts.  One pass keys every record by its count and its log-point
+    ids (a 64-bit mix; visit counts are not part of a signature), and
+    ``np.unique`` groups equal keys.  Each record is then checked
+    against its group's representative, id by id, so the grouping is
+    exact whatever the keys do: a record that fails the check is
+    resolved on its own.  Interning runs once per representative.
+    Returns None when the id space fills up mid-batch (callers fall
+    back to the exact scalar path).
     """
-    sig_ids = _np.empty(len(offs), dtype=_np.int64)
-    for n in _np.unique(counts):
-        member = _np.flatnonzero(counts == n)
-        if n == 0:
-            sig_id = space.resolve_entry(b"")
-            if sig_id is None:
-                return None
-            sig_ids[member] = sig_id
-            continue
-        width = _ENTRY_SIZE * int(n)
-        rows = b[offs[member, None] + _np.arange(width, dtype=_np.int64)]
-        patterns, inverse = _np.unique(
-            _np.ascontiguousarray(rows).view(_np.dtype((_np.void, width))).ravel(),
-            return_inverse=True,
-        )
-        ids = _np.empty(len(patterns), dtype=_np.int64)
-        for i, pattern in enumerate(patterns):
-            sig_id = space.resolve_entry(pattern.tobytes())
-            if sig_id is None:
-                return None
-            ids[i] = sig_id
-        sig_ids[member] = ids[inverse]
+    m = len(offs)
+    ends = _np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if m else 0
+    owner = _np.repeat(_np.arange(m), counts)
+    entry = _np.arange(total)
+    lpid_at = (offs - _ENTRY_SIZE * starts)[owner] + _ENTRY_SIZE * entry
+    lpid = _field_view(b, 0, "<u2")[lpid_at]
+    mix = _np.uint64(_KEY_MIX)
+    spread = lpid * mix
+    spread ^= spread >> _np.uint64(29)
+    sums = _np.zeros(total + 1, dtype=_np.uint64)
+    _np.cumsum(spread, out=sums[1:])
+    key = (sums[ends] - sums[starts] + counts.astype(_np.uint64)) * mix
+    groups, inverse = _np.unique(key.view(_np.int64), return_inverse=True)
+    # One member per group represents it; any will do, as every record
+    # is checked against it.
+    member = _np.empty(len(groups), dtype=_np.int64)
+    member[inverse] = _np.arange(m)
+    rep = member[inverse]
+    failed = counts != counts[rep]
+    other = _np.minimum(entry + (starts[rep] - starts)[owner], total - 1)
+    failed[owner[lpid != lpid[other]]] = True
+    alone = _np.flatnonzero(failed)
+    picked = _np.concatenate([member, alone])
+    ids = []
+    for at, n in zip(offs[picked].tolist(), counts[picked].tolist()):
+        sig_id = space.resolve_entry(b[at : at + _ENTRY_SIZE * n].tobytes())
+        if sig_id is None:
+            return None
+        ids.append(sig_id)
+    ids = _np.asarray(ids, dtype=_np.int64)
+    sig_ids = ids[inverse]
+    sig_ids[alone] = ids[len(member) :]
     return sig_ids
 
 

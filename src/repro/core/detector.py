@@ -14,8 +14,8 @@ layer needs to render a human-readable root-cause hint.
 Hot-path notes: open windows are indexed by a min-heap of window indices,
 so each ``observe`` peeks at the earliest deadline instead of scanning
 every open bucket (closing is O(ripe · log open) amortized); per-(stage,
-signature) performance baselines are memoized because the model is frozen
-for the detector's lifetime.
+signature) performance baselines are memoized per model generation, and
+a model swap or a retrain starts the memo afresh.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.telemetry import MetricsRegistry
 
 from . import columnar
 from .config import SAADConfig
-from .features import FeatureVector, Signature, StageKey
+from .features import Signature, StageKey
 from .interning import SignatureIdSpace, canonical_tuple, signature_of_entries
 from .model import OutlierModel, TaskLabel
 from .stats import ProportionTest, proportion_exceeds_test
@@ -38,8 +38,9 @@ FLOW = "flow"
 PERFORMANCE = "performance"
 
 #: Bound on the record route's rule cache (stage, raw entry bytes -> the
-#: signature and its compiled verdict).  Real streams repeat a handful of
-#: shapes per stage; the cap only matters for adversarial inputs.
+#: signature and its compiled verdict) and the vector kernel's cell table
+#: together.  Real streams repeat a handful of shapes per stage; the cap
+#: only matters for adversarial inputs.
 _WIRE_RULE_CACHE_MAX = 1 << 16
 
 #: The label ``CompiledStage.classify`` gives each verdict, indexed by
@@ -53,12 +54,15 @@ _VERDICT_LABELS = tuple(
 #: working set of the gathered columns (~1 MiB of int64 per column).
 _BATCH_CHUNK = 1 << 16
 
+#: Bits of a packed stage|sig-id cell: 8 host + 8 stage + sig-id.
+_CELL_BITS = columnar.SIG_BITS + 16
+
 #: Scanned batches with fewer records than this take the per-record
 #: loop; at or above it, the vector kernel.  Both are exact; the choice
-#: is by cost alone.  The kernel pays a fixed ~180 us of numpy call
-#: overhead per batch, the loop ~0.8 us per record: the measured table
-#: in DESIGN §13 puts the crossover at 512.
-_VECTOR_MIN_RECORDS = 512
+#: is by cost alone.  The kernel's fixed cost per batch is about what the
+#: loop spends on 100 records, and the measured table in DESIGN §13 puts
+#: the crossover between 128 and 256.
+_VECTOR_MIN_RECORDS = 256
 
 #: Window-close triggers tolerated per chunk before the remainder of the
 #: chunk degrades to the per-record path.  Each trigger rescans the
@@ -71,8 +75,8 @@ _BATCH_MAX_TRIGGERS = 64
 #: batch path hands such records to the exact per-record path.
 _BATCH_TS_LIMIT = 1 << 53
 
-#: Window indices must leave room for the packed (index, stage, sig-id,
-#: verdict-bit) count keys to fit a signed 64-bit lane.
+#: Window indices must leave room for the packed (index, cell) count
+#: keys to fit a signed 64-bit lane.
 _BATCH_INDEX_LIMIT = 1 << 28
 
 
@@ -143,8 +147,10 @@ class AnomalyDetector:
     Parameters
     ----------
     model:
-        A trained :class:`~repro.core.model.OutlierModel`; frozen for
-        the detector's lifetime (baselines are memoized off it).
+        A trained :class:`~repro.core.model.OutlierModel`.  Assigning
+        another model to :attr:`model`, or retraining this one, takes
+        effect at the next task: verdict tables and baselines are
+        memoized per model generation.
     config:
         Analyzer configuration; defaults to the model's own.
     lateness_s:
@@ -213,12 +219,15 @@ class AnomalyDetector:
         self._bucket_probe_count = 0
         self._windows_opened = 0
         self._windows_closed = 0
-        # (stage_key, signature) -> baseline proportion for the perf test.
+        # (stage_key, signature) -> baseline proportion for the perf test,
+        # for the model and generation in ``_perf_baselines_of``.
         self._perf_baselines: Dict[Tuple[StageKey, Signature], float] = {}
-        # Record route: packed stage int -> (stage key, {raw entry bytes ->
-        # (signature, flags, cut)}), read off the ``_wire_rules_of`` compile.
+        self._perf_baselines_of: Optional[Tuple[OutlierModel, int]] = None
+        # Read off ``_compiled`` and reset with it: the record route's stage
+        # int -> (stage key, {raw entry bytes -> (signature, flags, cut)})
+        # and the kernel's stage|sig-id cell -> (stage key, signature, ...).
         self._wire_rules: Dict[int, Tuple[StageKey, Dict[bytes, tuple]]] = {}
-        self._wire_rules_of: Optional[columnar.CompiledModel] = None
+        self._cells: Dict[int, tuple] = {}
         self._wire_rule_count = 0
         # Columnar batch path: compiled verdict tables plus the dense
         # signature-id space they are indexed by.  The space outlives
@@ -326,22 +335,6 @@ class AnomalyDetector:
             synopsis.duration,
             synopsis.start_time,
             (synopsis.host_id, synopsis.uid) if self._tracing else None,
-        )
-
-    def observe_feature(self, feature: FeatureVector) -> List[AnomalyEvent]:
-        """Ingest one already-extracted :class:`FeatureVector`.
-
-        Same semantics as :meth:`observe`; used by replay paths that
-        work from training traces rather than live synopses.
-        """
-        stage_key = self.model.stage_key_for(feature)
-        return self._observe(
-            stage_key,
-            feature.signature,
-            self.model.classify_parts(stage_key, feature.signature, feature.duration),
-            feature.duration,
-            feature.start_time,
-            (feature.host_id, feature.uid) if self._tracing else None,
         )
 
     def _observe(
@@ -452,7 +445,14 @@ class AnomalyDetector:
                 model, space=self._sig_space, registry=self.registry
             )
             self._compiled = compiled
+            self._reset_rules()
         return compiled
+
+    def _reset_rules(self) -> None:
+        """Drop the record route's rule cache and the kernel's cell table."""
+        self._wire_rules.clear()
+        self._cells.clear()
+        self._wire_rule_count = 0
 
     def observe_batch(self, frames, offset: int = 0) -> List[AnomalyEvent]:
         """Ingest a run of concatenated wire frames through the columnar path.
@@ -545,15 +545,9 @@ class AnomalyDetector:
         stage_int = columnar.header_column(b, offs, "stage_id")
         if self.model.config.per_host:
             stage_int |= columnar.header_column(b, offs, "host_id") << 8
-        cell = (stage_int << columnar.SIG_BITS) | sig
+        # Count keys: (window index, stage|sig-id cell).
+        keys = (idx << _CELL_BITS) | (stage_int << columnar.SIG_BITS) | sig
         duration = columnar.header_column(b, offs, "duration_us")
-        unique_cells, inverse = np.unique(cell, return_inverse=True)
-        cuts = np.empty(len(unique_cells), dtype=np.int64)
-        for j, packed in enumerate(unique_cells):
-            cuts[j] = compiled.rule(int(packed))[1]
-        bit = (duration > cuts[inverse]).astype(np.int64)
-        span = columnar.SIG_BITS + 16  # cell bits: 8 host + 8 stage + sig
-        kk = (idx * (1 << span) + cell) * 2 + bit
         ts_sec = ts_ms / 1000.0
         lateness = self.lateness_s
         pos = 0
@@ -571,7 +565,8 @@ class AnomalyDetector:
             # first hit is exactly where the scalar path would close.
             hits = np.flatnonzero((seg_min + 1) * width <= seg_wm - lateness)
             t = int(hits[0]) if hits.size else m - pos - 1
-            self._apply_counts(np, kk[pos : pos + t + 1], compiled)
+            stop = pos + t + 1
+            self._apply_counts(np, keys[pos:stop], duration[pos:stop], compiled)
             self._watermark = float(seg_wm[t])
             pos += t + 1
             if hits.size:
@@ -583,51 +578,64 @@ class AnomalyDetector:
                     events.extend(self._degrade_records(data, offs[pos:].tolist()))
                     return
 
-    def _apply_counts(self, np, kk, compiled) -> None:
-        """Apply one segment's grouped counts to the window buckets.
-
-        Groups are applied in order of first occurrence, so buckets and
-        per-signature perf entries are created in exactly the order the
-        scalar per-task loop would create them (close order and
-        worst-offender tie-breaks depend on it).
+    def _apply_counts(self, np, keys, duration, compiled) -> None:
+        """Apply one segment's counts, grouped by (window, cell), to the
+        window buckets.  Groups are applied in order of first occurrence,
+        so buckets and per-signature perf entries are created in exactly
+        the order the scalar per-task loop would create them (close order
+        and worst-offender tie-breaks depend on it).
         """
-        unique_keys, firsts, counts = np.unique(
-            kk, return_index=True, return_counts=True
+        unique_keys, firsts, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
         )
-        space = compiled.space
-        span = columnar.SIG_BITS + 16
-        cell_mask = (1 << span) - 1
-        sig_mask = (1 << columnar.SIG_BITS) - 1
+        cells = self._cells
+        rules = [
+            cells.get(cell) or self._cell_rule(compiled, cell)
+            for cell in (unique_keys & ((1 << _CELL_BITS) - 1)).tolist()
+        ]
+        cuts = np.array([rule[3] for rule in rules], dtype=np.int64)
+        slow = np.bincount(inverse[duration > cuts[inverse]], minlength=len(rules))
+        order = np.argsort(firsts)
         buckets = self._buckets
-        for j in np.argsort(firsts):
-            packed = int(unique_keys[j])
-            count = int(counts[j])
-            outlier_bit = packed & 1
-            rest = packed >> 1
-            index = rest >> span
-            cell = rest & cell_mask
-            stage_int = cell >> columnar.SIG_BITS
-            stage_key = (stage_int >> 8, stage_int & 0xFF)
+        for j, index, count, outliers in zip(
+            order.tolist(),
+            (unique_keys[order] >> _CELL_BITS).tolist(),
+            counts[order].tolist(),
+            slow[order].tolist(),
+        ):
+            stage_key, signature, flags, _ = rules[j]
             bucket = buckets.get((stage_key, index))
             if bucket is None:
                 bucket = self._open_bucket(stage_key, index)
             bucket.n += count
-            flags, _ = compiled.rule(cell)
             if not flags & columnar.KNOWN:
                 bucket.flow_outliers += count
-                bucket.new_signatures.add(space.signature_of(cell & sig_mask))
+                bucket.new_signatures.add(signature)
             else:
                 if flags & columnar.FLOW_OUTLIER:
                     bucket.flow_outliers += count
                 if flags & columnar.PERF_ELIGIBLE:
-                    signature = space.signature_of(cell & sig_mask)
                     perf = bucket.perf.get(signature)
                     if perf is None:
                         perf = bucket.perf[signature] = [0, 0]
                     perf[1] += count
-                    if outlier_bit:
-                        perf[0] += count
-            self._tasks_seen += count
+                    perf[0] += outliers
+        self._tasks_seen += len(keys)
+
+    def _cell_rule(self, compiled, cell: int) -> tuple:
+        """``(stage key, signature, flags, cut)`` for a cell-table miss."""
+        self._count_rule()
+        stage_int = cell >> columnar.SIG_BITS
+        signature = compiled.space.signature_of(cell & ((1 << columnar.SIG_BITS) - 1))
+        rule = (stage_int >> 8, stage_int & 0xFF), signature, *compiled.rule(cell)
+        self._cells[cell] = rule
+        return rule
+
+    def _count_rule(self) -> None:
+        """Count one cached rule; both caches restart at the cap."""
+        if self._wire_rule_count >= _WIRE_RULE_CACHE_MAX:
+            self._reset_rules()
+        self._wire_rule_count += 1
 
     def _degrade_records(self, data: bytes, records: List[int]) -> List[AnomalyEvent]:
         """:meth:`_observe_records` as a fallback (tracing on, or a chunk
@@ -650,10 +658,6 @@ class AnomalyDetector:
         if not records:
             return []
         compiled = self.compiled_model()
-        if compiled is not self._wire_rules_of:  # a retrain or a model swap
-            self._wire_rules.clear()
-            self._wire_rules_of = compiled
-            self._wire_rule_count = 0
         events: List[AnomalyEvent] = []
         unpack_header = SYNOPSIS_HEADER.unpack_from
         header_size = SYNOPSIS_HEADER.size
@@ -693,10 +697,7 @@ class AnomalyDetector:
         """``(signature, flags, cut)`` for a rule-cache miss.  Sig-ids are
         looked up, never minted: a signature without one is novel, unless
         the id space filled up before a retrain trained it."""
-        if self._wire_rule_count >= _WIRE_RULE_CACHE_MAX:
-            self._wire_rules.clear()  # the caller's stage entry goes too
-            self._wire_rule_count = 0
-        self._wire_rule_count += 1
+        self._count_rule()  # at the cap, the caller's stage entry goes too
         signature = signature_of_entries(entry_bytes)
         table = compiled.stages.get(stage_int)
         sig_id = compiled.space.ids.get(signature)
@@ -917,6 +918,10 @@ class AnomalyDetector:
         self, stage_key: StageKey, stage_model, signature: Signature
     ) -> float:
         """Memoized ``max(1 - q, trained outlier share)`` for one group."""
+        of = (self.model, self.model.generation)
+        if self._perf_baselines_of != of:
+            self._perf_baselines.clear()
+            self._perf_baselines_of = of
         memo_key = (stage_key, signature)
         baseline = self._perf_baselines.get(memo_key)
         if baseline is None:

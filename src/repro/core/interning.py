@@ -78,13 +78,14 @@ def signature_of_entries(entry_bytes: bytes) -> InternedSignature:
     (``len(entry_bytes) % 6 == 0``; see
     :data:`repro.core.synopsis.SYNOPSIS_ENTRY`) — the one place wire
     ingest turns entry bytes into a signature, so every byte-keyed
-    cache maps a pattern to what the object decoder would produce.
+    cache maps a pattern to what the object decoder would produce.  An
+    lpid the entries repeat counts once, as in the decoder's dict.
     """
     from .synopsis import entry_struct  # synopsis imports this module
 
     n = len(entry_bytes) // 6
     flat = entry_struct(n).unpack(entry_bytes) if n else ()
-    return intern_signature(flat[0::2])
+    return intern_signature(set(flat[0::2]))
 
 
 def canonical_tuple(signature: Iterable[int]) -> Tuple[int, ...]:

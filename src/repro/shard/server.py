@@ -853,6 +853,9 @@ class FrameClient:
         :meth:`send` pushes a fresh snapshot whenever at least this many
         seconds have passed since the last one.  None pushes only on
         explicit :meth:`send_telemetry` calls.
+    clock:
+        The seconds clock that stamps each send and its ack, the ack
+        round-trip times the ``adaptive`` controller is tuned from.
     """
 
     def __init__(
@@ -868,6 +871,7 @@ class FrameClient:
         node: Optional[str] = None,
         telemetry_source=None,
         telemetry_interval_s: Optional[float] = 30.0,
+        clock: Callable[[], float] = time.perf_counter,
     ):
         self._sock = socket.create_connection(address, timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -884,6 +888,7 @@ class FrameClient:
         self._seq = 0
         self._acked = 0
         self._send_times: Dict[int, float] = {}
+        self._clock = clock
         self._ackbuf = b""
         self._server_version = 0
         self._health_reports: List[dict] = []
@@ -1064,7 +1069,7 @@ class FrameClient:
         self._sock.sendall(envelope)
         self._credit -= need
         self._seq += 1
-        self._send_times[self._seq] = time.perf_counter()
+        self._send_times[self._seq] = self._clock()
         self.bytes_sent += need
         self.frames_sent += 1
 
@@ -1225,7 +1230,7 @@ class FrameClient:
                     before = self._adaptive.size
                     # One controller step per ack — inherently scalar.
                     after = self._adaptive.observe(  # saadlint: disable=CP001
-                        (time.perf_counter() - sent_at) * 1e6
+                        (self._clock() - sent_at) * 1e6
                     )
                     if after != before and self._on_flush_size is not None:
                         self._on_flush_size(after)

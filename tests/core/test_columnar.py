@@ -19,6 +19,8 @@ itself.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AnomalyDetector,
@@ -30,7 +32,14 @@ from repro.core import (
 from repro.core.columnar import NO_CUT, exact_duration_cut
 from repro.core import columnar
 from repro.core import detector as detector_module
-from repro.core.synopsis import FRAME_HEADER, decode_frame, encode_frame
+from repro.core.interning import intern_signature
+from repro.core.synopsis import (
+    FRAME_HEADER,
+    SYNOPSIS_ENTRY,
+    SYNOPSIS_HEADER,
+    decode_frame,
+    encode_frame,
+)
 
 pytestmark = pytest.mark.columnar
 
@@ -487,3 +496,108 @@ class TestRouteChoice:
         assert DEFAULT_FLUSH_SIZE < detector_module._VECTOR_MIN_RECORDS
         batch_run(model, encode_frame(make_stream(tasks=DEFAULT_FLUSH_SIZE)))
         assert taken == [("records", DEFAULT_FLUSH_SIZE)]
+
+
+def raw_frame(records):
+    """One frame of hand-packed ``(host, stage, uid, ts_ms, duration_us,
+    entries)`` records: entries go on the wire in the order given, so a
+    record can carry lpids unsorted or more than once."""
+    payload = b"".join(
+        SYNOPSIS_HEADER.pack(*header, len(entries))
+        + b"".join(SYNOPSIS_ENTRY.pack(*entry) for entry in entries)
+        for *header, entries in records
+    )
+    return FRAME_HEADER.pack(len(payload), len(records)) + payload
+
+
+#: Entry layouts every batch carries besides the drawn ones: no entries,
+#: the trained set reversed, the trained set with an lpid twice under
+#: other visit counts, and 255 entries cycling through lpids 0 and 0xFFFF.
+FIXED_LAYOUTS = (
+    [],
+    [(5, 1), (4, 1), (2, 1), (1, 1)],
+    [(2, 3), (1, 1), (4, 9), (5, 2), (1, 4)],
+    [((0, 1, 2, 4, 5, 0xFFFF)[i % 6], i + 1) for i in range(255)],
+)
+
+
+def kernel_batch(layouts, seed, extra=0):
+    """``_VECTOR_MIN_RECORDS + extra`` records in one to three frames, so
+    one ``observe_batch`` call takes the vector kernel.  Records draw
+    their layout from ``layouts`` (the 255-entry one rarely), and their
+    host, stage (3 is untrained), duration and start from ``seed``;
+    windows close mid-batch."""
+    rng = random.Random(seed)
+    weights = [0.1 if len(layout) == 255 else 1 for layout in layouts]
+    count = detector_module._VECTOR_MIN_RECORDS + extra
+    records = []
+    for uid in range(count):
+        duration_us = int(10_000 * rng.lognormvariate(0, 0.3) * rng.choice((1, 1, 6)))
+        ts_ms = max(0, 300 * uid - rng.randrange(2000))
+        layout = rng.choices(layouts, weights)[0]
+        host, stage = rng.randrange(2), rng.choice((1, 2, 3))
+        records.append((host, stage, uid, ts_ms, duration_us, layout))
+    cuts = sorted(rng.sample(range(1, count), rng.randrange(3)))
+    return [raw_frame(records[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, count])]
+
+
+@st.composite
+def kernel_batches(draw):
+    """:func:`kernel_batch` over :data:`FIXED_LAYOUTS` and drawn ones:
+    lpids unsorted, repeated, 0 and 0xFFFF.  Each drawn layout also
+    rides under other visit counts, and reversed."""
+    lpid = st.sampled_from([0, 1, 2, 3, 4, 5, 0xFFFF]) | st.integers(0, 0xFFFF)
+    visits = st.sampled_from([1, 2, 7, 2**31 - 1])
+    layout = st.lists(st.tuples(lpid, visits), max_size=6)
+    drawn = draw(st.lists(layout, min_size=1, max_size=4))
+    layouts = list(FIXED_LAYOUTS)
+    for layout in drawn:
+        layouts += [layout, [(lp, n % 5 + 1) for lp, n in layout], layout[::-1]]
+    return kernel_batch(layouts, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 64)))
+
+
+def assert_kernel_matches_record_routes(model, frames):
+    """``observe_batch`` over the joined frames (the vector kernel) equals
+    ``observe_frame`` frame by frame and ``observe`` on the decoded
+    synopses, before and after the flush."""
+    kernel, per_frame, objects = (AnomalyDetector(model) for _ in range(3))
+    mids = [
+        kernel.observe_batch(b"".join(frames)),
+        [e for frame in frames for e in per_frame.observe_frame(frame)],
+        [e for frame in frames for s in decode_frame(frame)[0] for e in objects.observe(s)],
+    ]
+    tasks = sum(FRAME_HEADER.unpack_from(frame)[1] for frame in frames)
+    assert kernel.registry.get("columnar_tasks").value == tasks
+    assert kernel.registry.get("columnar_fallback_tasks").value == 0
+    for detector, mid in ((per_frame, mids[1]), (objects, mids[2])):
+        assert mids[0] == mid
+        assert kernel._buckets == detector._buckets
+        assert kernel.tasks_seen == detector.tasks_seen == tasks
+        assert detector.registry.get("columnar_tasks").value == 0
+    tails = [detector.flush() for detector in (kernel, per_frame, objects)]
+    assert tails[0] == tails[1] == tails[2]
+    assert counters(kernel) == counters(per_frame) == counters(objects)
+
+
+class TestKernelLayouts:
+    """The vector kernel's signature ids under adversarial entry layouts."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(frames=kernel_batches())
+    def test_kernel_matches_the_record_routes(self, model, frames):
+        assert_kernel_matches_record_routes(model, frames)
+
+    def test_colliding_keys_keep_the_ids_exact(self, model, monkeypatch):
+        # With a zero mix every record keys alike: one group, and every
+        # record unlike its representative resolved on its own.
+        monkeypatch.setattr(columnar, "_KEY_MIX", 0)
+        pairs = [[(1, 1), (2, 5)], [(2, 5), (1, 1)], [(1, 2), (2, 2)], [(9, 1)]]
+        frames = kernel_batch([*FIXED_LAYOUTS, *pairs], seed=5)
+        blob = b"".join(frames)
+        columns = columnar.decode_columns(blob)
+        decoded = [s for frame in frames for s in decode_frame(frame)[0]]
+        assert [columns.signature(i) for i in columns.sig_id.tolist()] == [
+            intern_signature(s.log_points) for s in decoded
+        ]
+        assert len({columns.signature(i) for i in columns.sig_id.tolist()}) > 1
+        assert_kernel_matches_record_routes(model, frames)

@@ -315,7 +315,9 @@ class TestWireIngest:
     def test_every_entry_point_takes_any_bytes_like(self, model, entry, kind):
         from repro.core.synopsis import encode_frame
 
-        stream = self.make_stream(tasks=400)
+        # Under the vector crossover: observe_batch takes the record loop
+        # too, whose rule-cache keys are checked below.
+        stream = self.make_stream(tasks=200)
         object_path = AnomalyDetector(model)
         for s in stream:
             object_path.observe(s)

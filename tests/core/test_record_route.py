@@ -230,3 +230,36 @@ def test_trained_signature_without_an_id_is_not_novel(monkeypatch):
     assert_same(wire, obj, wire_events, obj_events)
     assert wire._buckets and not any(b.new_signatures for b in wire._buckets.values())
     assert wire.flush() == obj.flush()
+
+
+@pytest.mark.parametrize("entry", ["observe", "observe_frame"])
+@pytest.mark.parametrize("change", ["swap", "retrain"])
+def test_model_change_resets_the_performance_baselines(change, entry):
+    # Window 0 memoizes TRACE_A's baseline for (0, 1)'s dominant flow;
+    # window 1 must be judged by RETRAIN's, as a fresh detector would.
+    def window(index, threshold):
+        durations = [threshold * (1.5e6 if uid < 12 else 0.5e6) for uid in range(40)]
+        return [
+            synopsis(0, 1, uid, index * WINDOW_MS + uid, duration_us, DOMINANT)
+            for uid, duration_us in enumerate(durations)
+        ]
+
+    def feed(detector, tasks):
+        if entry == "observe":
+            return [e for s in tasks for e in detector.observe(s)]
+        return detector.observe_frame(encode_frame(tasks))
+
+    model, new = train(TRACE_A, per_host=True), train(RETRAIN, per_host=True)
+    profile = new.stages[(0, 1)].signatures[intern_signature(DOMINANT)]
+    changed = AnomalyDetector(model)
+    feed(changed, window(0, profile.duration_threshold))
+    changed.flush()
+    if change == "swap":
+        changed.model = new
+    else:
+        model.train_features(RETRAIN)
+    tasks = window(1, profile.duration_threshold)
+    fresh = AnomalyDetector(new)
+    expected = feed(fresh, tasks) + fresh.flush()
+    assert [e.kind for e in expected] == ["performance"]
+    assert feed(changed, tasks) + changed.flush() == expected

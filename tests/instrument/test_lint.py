@@ -627,31 +627,36 @@ class TestReporters:
 
 class TestCLI:
     def test_clean_tree_exits_zero(self, capsys):
-        code = lint_cli([CLEAN_TREE])
+        code = lint_cli([CLEAN_TREE, "--no-cache"])
         assert code == 0
         assert "clean" in capsys.readouterr().out
 
     def test_findings_exit_one(self, capsys):
-        code = lint_cli([DEFECT_TREE, "--no-baseline"])
+        code = lint_cli([DEFECT_TREE, "--no-baseline", "--no-cache"])
         assert code == 1
         assert "LP001" in capsys.readouterr().out
 
     def test_json_flag(self, capsys):
-        code = lint_cli([DEFECT_TREE, "--no-baseline", "--json"])
+        code = lint_cli([DEFECT_TREE, "--no-baseline", "--json", "--no-cache"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["CC001"] == 1
 
     def test_missing_path_exits_two(self):
-        assert lint_cli(["does/not/exist"]) == 2
+        assert lint_cli(["does/not/exist", "--no-cache"]) == 2
 
     def test_unknown_rule_exits_nonzero(self):
         with pytest.raises(SystemExit):
-            lint_cli([DEFECT_TREE, "--select", "NOPE1"])
+            lint_cli([DEFECT_TREE, "--select", "NOPE1", "--no-cache"])
 
     def test_registry_drift_via_cli(self, capsys):
         code = lint_cli(
-            [DRIFT_TREE, "--registry", os.path.join(DRIFT_TREE, "registry.json")]
+            [
+                DRIFT_TREE,
+                "--registry",
+                os.path.join(DRIFT_TREE, "registry.json"),
+                "--no-cache",
+            ]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -659,15 +664,18 @@ class TestCLI:
 
     def test_write_then_apply_baseline(self, tmp_path, capsys):
         baseline = str(tmp_path / "bl.json")
-        assert lint_cli([DEFECT_TREE, "--write-baseline", "--baseline", baseline]) == 0
+        write = [DEFECT_TREE, "--write-baseline", "--baseline", baseline, "--no-cache"]
+        assert lint_cli(write) == 0
         capsys.readouterr()
-        code = lint_cli([DEFECT_TREE, "--baseline", baseline])
+        code = lint_cli([DEFECT_TREE, "--baseline", baseline, "--no-cache"])
         assert code == 0
         out = capsys.readouterr().out
         assert "suppressed" in out
 
     def test_select_restricts_rules(self, capsys):
-        code = lint_cli([DEFECT_TREE, "--no-baseline", "--select", "CC001", "--json"])
+        code = lint_cli(
+            [DEFECT_TREE, "--no-baseline", "--select", "CC001", "--json", "--no-cache"]
+        )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["counts"]) == {"CC001"}

@@ -2,6 +2,7 @@
 priority shedding, compression negotiation, adaptive flush bounds, and
 the FrameClient close contract (DESIGN.md §15, docs/OPERATIONS.md §8)."""
 
+import itertools
 import threading
 import time
 
@@ -314,11 +315,16 @@ class TestAdaptiveFlushWiring:
         frame = encode_frame(make_trace(30))
         sizes = []
         delivered = []
+        # Each stamp, at a send or at an ack, reads 100 us past the one
+        # before: every RTT stays far under the 2 ms target, however late
+        # the poll that reads the ack.
+        ticks = itertools.count()
         with SynopsisServer(delivered.append) as server:
             client = FrameClient(
                 server.address,
                 adaptive=AdaptiveFlush(initial=8, min_size=8, max_size=64, step=8),
                 on_flush_size=sizes.append,
+                clock=lambda: next(ticks) * 1e-4,
             )
             with client:
                 for _ in range(5):
