@@ -56,11 +56,17 @@ def intern_signature(log_points: Iterable[int]) -> InternedSignature:
     """Return the shared signature for this set of log-point ids.
 
     Accepts any iterable of ids (typically a synopsis's ``log_points``
-    dict, whose iteration yields the keys).  Two calls with equal id sets
-    return the *same* object while the table has room.
+    dict, whose iteration yields the keys); an id it repeats counts
+    once.  Two calls with equal id sets return the *same* object while
+    the table has room.
     """
     key = tuple(sorted(log_points))
     signature = _table.get(key)
+    if signature is None:
+        # Only a miss pays for deduplication: keys are stored without
+        # repeats, so a repeating iterable never hits on its first probe.
+        key = tuple(sorted(set(key)))
+        signature = _table.get(key)
     if signature is None:
         signature = InternedSignature(key)
         signature.canonical = key
@@ -85,7 +91,7 @@ def signature_of_entries(entry_bytes: bytes) -> InternedSignature:
 
     n = len(entry_bytes) // 6
     flat = entry_struct(n).unpack(entry_bytes) if n else ()
-    return intern_signature(set(flat[0::2]))
+    return intern_signature(flat[0::2])
 
 
 def canonical_tuple(signature: Iterable[int]) -> Tuple[int, ...]:

@@ -23,7 +23,6 @@ proof that both closings saw the same task multiset (DESIGN.md §16).
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.detector import AnomalyDetector, AnomalyEvent
@@ -60,15 +59,6 @@ class FleetNode:
         self.node_id = node_id
         self.lock = threading.Lock()
         self._on_event = on_event
-        #: Detector CPU seconds on the ingest path — the fleet analogue
-        #: of the shard workers' busy_seconds, and the denominator of
-        #: the benchmark's pipeline-modeled throughput (each node's
-        #: detector runs on its own server thread; on a machine with
-        #: enough cores the bottleneck node's busy time is the wall).
-        #: Accounted with ``time.thread_time`` — CPU actually spent by
-        #: the pump thread, not wall time that a time-sliced core
-        #: charges to whoever holds the GIL's neighbors.
-        self.busy_seconds = 0.0
         self.detector = AnomalyDetector(
             model,
             config,
@@ -101,15 +91,11 @@ class FleetNode:
     # Server-pump-side hooks (all run on the server's loop thread).
     def _sink(self, frame: bytes) -> None:
         with self.lock:
-            start = time.thread_time()
             self.detector.observe_frame(frame)
-            self.busy_seconds += time.thread_time() - start
 
     def _absorb(self, frame: bytes) -> None:
         with self.lock:
-            start = time.thread_time()
             self.detector.absorb_frame(frame)
-            self.busy_seconds += time.thread_time() - start
 
     def _disown(self, stage_ids: List[int]) -> None:
         with self.lock:

@@ -103,7 +103,7 @@ def worker_main(conn, init: WorkerInit, inherited=()) -> None:
 
     ``conn`` is the worker end of a ``multiprocessing.Pipe``.  Busy time
     is accounted with ``time.process_time`` — CPU seconds actually spent
-    in this process — so the pipeline-throughput model stays honest even
+    in this process — so the per-shard skew it reports stays honest even
     when workers time-share cores.
 
     ``inherited`` are the parent-side pipe ends a ``fork`` start copied

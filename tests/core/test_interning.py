@@ -48,6 +48,18 @@ class TestInternTable:
         # Plain frozensets get the tuple computed on demand.
         assert canonical_tuple(frozenset({9, 1, 5})) == (1, 5, 9)
 
+    def test_repeated_ids_share_the_one_signature(self):
+        real = intern_signature([1, 2, 4, 5])
+        repeated = intern_signature([2, 1, 4, 5, 1])
+        assert repeated is real
+        assert repeated.canonical == (1, 2, 4, 5)
+        # First sight through a repeating iterable stores the deduped key.
+        clear_intern_table()
+        first = intern_signature((7, 3, 7))
+        assert first.canonical == (3, 7)
+        assert intern_signature([3, 7]) is first
+        assert intern_table_size() == 1
+
     def test_table_size_and_clear(self):
         clear_intern_table()
         assert intern_table_size() == 0
