@@ -31,7 +31,7 @@ from .model import OutlierModel
 from .report import AnomalyReporter
 from .stages import StageRegistry
 from .stream import DEFAULT_FLUSH_SIZE, SynopsisCollector, SynopsisStream
-from .synopsis import TaskSynopsis
+from .synopsis import TaskSynopsis, pack_frames
 from .tracker import TaskExecutionTracker
 
 
@@ -106,7 +106,6 @@ class NodeRuntime:
         self,
         address,
         *,
-        compression: bool = False,
         node: Optional[str] = None,
         telemetry_source=None,
         telemetry_interval_s: Optional[float] = 30.0,
@@ -125,11 +124,10 @@ class NodeRuntime:
         be received twice.  A node connected to a remote analyzer keeps
         its local object path.
 
-        The sender negotiates the credit/ack ingest protocol and tunes
+        The sender speaks the credit/ack ingest protocol and tunes
         this node's ``flush_size`` adaptively from ack round-trips (the
         client's :class:`~repro.shard.server.AdaptiveFlush` controller
-        writes straight through to the stream).  ``compression=True``
-        requests zlib frame compression; the server may decline.
+        writes straight through to the stream).
 
         Telemetry federation (docs/OPERATIONS.md §9) is opt-in: pass
         ``telemetry_source`` (this node's deployment registry, or any
@@ -152,7 +150,6 @@ class NodeRuntime:
         self._client = FrameClient(
             address,
             registry=self.saad.registry,
-            compression=compression,
             on_flush_size=lambda size: setattr(stream, "flush_size", size),
             node=node or self.host_name,
             telemetry_source=telemetry_source,
@@ -415,9 +412,13 @@ class SAAD:
     def detect(self, synopses: List[TaskSynopsis]) -> List[AnomalyEvent]:
         """Batch detection convenience: stream a list, flush, return events.
 
-        With ``shards`` or ``fleet`` configured the batch runs through
-        the corresponding scale-out path; the returned events are
-        identical (canonically ordered) either way.
+        The batch is classified in its wire form (millisecond start,
+        microsecond duration) on every path: single-process through
+        :meth:`~repro.core.detector.AnomalyDetector.observe_batch`, or,
+        with ``shards`` or ``fleet`` configured, through the
+        corresponding scale-out path.  The returned events are
+        identical (canonically ordered) either way, and a synopsis the
+        wire format cannot carry raises ``ValueError`` on every path.
         """
         if self.fleet_nodes is not None:
             with self.fleet() as fleet:
@@ -436,8 +437,7 @@ class SAAD:
         from repro.shard import EVENT_ORDER
 
         detector = self.detector()
-        for synopsis in synopses:
-            detector.observe(synopsis)
+        detector.observe_batch(pack_frames([s.encode() for s in synopses]))
         detector.flush()
         return sorted(detector.anomalies, key=EVENT_ORDER)
 
@@ -499,7 +499,6 @@ class SAAD:
         low_watermark: Optional[int] = None,
         shed_watermark: Optional[int] = None,
         hard_watermark: Optional[int] = None,
-        compression: bool = True,
     ):
         """Start (or return) the deployment's TCP synopsis server.
 
@@ -541,7 +540,6 @@ class SAAD:
                 high_watermark=high_watermark,
                 low_watermark=low_watermark,
                 shedder=shedder,
-                compression=compression,
                 federation=self.registry.federation(),
                 health=self.health,
             )

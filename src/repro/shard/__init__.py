@@ -13,7 +13,7 @@ detector's event set exactly.  This package provides the pieces —
   parent-side router/merger,
 * :mod:`~repro.shard.server` — asyncio TCP ingest so node streams can
   ship frames over a socket, with credit-based backpressure, read
-  pausing, negotiated compression, and AIMD-adaptive client batching,
+  pausing, and AIMD-adaptive client batching,
 * :mod:`~repro.shard.shedding` — priority-aware load shedding for the
   ingest edge (drop head-sampled frames before anomaly evidence).
 

@@ -134,12 +134,9 @@ def serve(argv) -> int:
         help="backlog at which exemplar-bearing frames are shed too "
         "(default: 2x the shed watermark)",
     )
-    parser.add_argument(
-        "--no-compression",
-        action="store_true",
-        help="decline clients' zlib frame compression requests",
-    )
     args = parser.parse_args(argv)
+    if args.hard_watermark is not None and args.shed_watermark is None:
+        parser.error("--hard-watermark requires --shed-watermark")
 
     registry = MetricsRegistry()
     analyzer: Optional[ShardedAnalyzer] = None
@@ -158,8 +155,6 @@ def serve(argv) -> int:
         shedder = LoadShedder(
             args.shed_watermark, args.hard_watermark, registry=registry
         )
-    elif args.hard_watermark is not None:
-        parser.error("--hard-watermark requires --shed-watermark")
     server = SynopsisServer(
         sink,
         host=args.host,
@@ -169,7 +164,6 @@ def serve(argv) -> int:
         high_watermark=args.high_watermark,
         low_watermark=args.low_watermark,
         shedder=shedder,
-        compression=not args.no_compression,
     )
     host, port = server.start()
     mode = f"detecting with {args.shards} shard(s)" if analyzer else "collecting"

@@ -35,14 +35,14 @@ of buffering without bound —
   dropped frames are acked immediately so clients keep their credit.
 
 Protocol: every connection opens with the magic hello ``b"SAAD" +
-version + flags``; one whose first bytes are anything else is closed
-and counted in ``shard_server_truncated``.  The client receives a
-hello-ack carrying the server's version, the accepted flags and the
-initial credit, and then sends each frame in a typed envelope ``(type,
-priority, length)`` — optionally zlib-compressed when both sides agreed
-at connect.  The server answers each data envelope with a 9-byte ack
-``(seq, credit-grant)`` that both replenishes credit and gives the
-client its round-trip time signal.
+version + flags``; one whose first bytes are anything else, or whose
+version is not this server's, is closed and counted in
+``shard_server_truncated``.  The client receives a hello-ack carrying
+the server's version, the accepted flags (always 0: no hello flag is
+honoured) and the initial credit, and then sends each frame verbatim
+in a typed envelope ``(type, priority, length)``.  The server answers
+each data envelope with a 9-byte ack ``(seq, credit-grant)`` that both
+replenishes credit and gives the client its round-trip time signal.
 
 Fleet observability rides the same socket (docs/OPERATIONS.md §9):
 
@@ -83,7 +83,6 @@ import socket
 import struct
 import threading
 import time
-import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.synopsis import MAX_FRAME_SYNOPSES
@@ -100,26 +99,22 @@ _MAX_FRAME_PAYLOAD = 1 << 26  # 64 MiB: reject absurd length prefixes early
 _MAGIC = b"SAAD"
 #: The envelope set below (data, control, reroute) and the watermark
 #: ack record.  A client refuses a server that answers with any other
-#: version.
+#: version, and the server closes a hello that carries one.
 _PROTOCOL_VERSION = 3
 
-#: Hello flag bit: the client asks for (and the server accepts) zlib
-#: frame compression.
-_FLAG_COMPRESS = 0x01
-
-#: Client hello: magic, version, requested flags.
+#: Client hello: magic, version, requested flags.  The flags byte is
+#: kept for layout compatibility; the server accepts none of them.
 _HELLO = struct.Struct("<4sBB")
 
-#: Server hello-ack: magic, version, accepted flags, credit window.
+#: Server hello-ack: magic, version, accepted flags (always 0), credit
+#: window.
 _HELLO_ACK = struct.Struct("<4sBBI")
 
 #: Data envelope header (client -> server): type, priority, length.
 _ENVELOPE = struct.Struct("<BBI")
 _ENV_DATA = 0  # payload is one wire frame, verbatim
-_ENV_DATA_Z = 1  # payload is one zlib-compressed wire frame
 _ENV_BYE = 2  # clean shutdown marker, length 0
 _ENV_TELEMETRY = 3  # payload is a JSON registry snapshot (federation)
-_ENV_TELEMETRY_Z = 4  # ... zlib-compressed
 _ENV_HEALTH = 5  # health probe, length 0; answered on the ack stream
 #: Fleet reroute envelopes (DESIGN.md §16).  Both ride the delivery
 #: queue like data — a reroute instruction handled inline would
@@ -131,7 +126,7 @@ _ENV_DISOWN = 7  # payload is raw stage-id bytes the analyzer must drop
 #: Control envelopes are exempt from the credit window: they are small,
 #: rare, handled inline on the loop (never queued), and must keep
 #: flowing precisely when the data path is saturated.
-_CONTROL_ENVELOPES = frozenset({_ENV_TELEMETRY, _ENV_TELEMETRY_Z, _ENV_HEALTH})
+_CONTROL_ENVELOPES = frozenset({_ENV_TELEMETRY, _ENV_HEALTH})
 
 #: Ack (server -> client): type, cumulative data-envelope seq, grant.
 _ACK = struct.Struct("<BII")
@@ -146,10 +141,6 @@ _ACK_HEALTH = 1
 #: windows the analyzer has already finalized (replay pruning).
 _ACK_WATERMARK = 2
 _WATERMARK = struct.Struct("<d")
-
-#: zlib level for frame compression: speed over ratio — the wire frames
-#: are short-range-redundant struct arrays, which level 1 already folds.
-_COMPRESS_LEVEL = 1
 
 #: Default per-connection credit window (bytes in flight).
 DEFAULT_CREDIT_WINDOW = 1 << 18
@@ -187,10 +178,6 @@ class SynopsisServer:
         Optional :class:`~repro.shard.shedding.LoadShedder` consulted
         at admission; dropped frames never occupy queue memory and are
         acked immediately so the sender's credit survives.
-    compression:
-        Whether to accept a client's request for zlib frame
-        compression; False forces every peer to fall back to
-        uncompressed envelopes.
     federation:
         Destination for TELEMETRY envelopes — anything with an
         ``absorb(node, families)`` method, typically
@@ -234,7 +221,6 @@ class SynopsisServer:
         high_watermark: Optional[int] = None,
         low_watermark: Optional[int] = None,
         shedder: Optional[LoadShedder] = None,
-        compression: bool = True,
         federation=None,
         health: Optional[Callable[[], dict]] = None,
         replay_sink: Optional[Callable[[bytes], None]] = None,
@@ -264,7 +250,6 @@ class SynopsisServer:
                 f"{self.low_watermark} / {self.high_watermark}"
             )
         self.shedder = shedder
-        self.compression = compression
         self.federation = federation
         self.health = health
         self._sink_is_async = asyncio.iscoroutinefunction(sink)
@@ -319,14 +304,6 @@ class SynopsisServer:
         )
         self._m_sink_errors = registry.counter(
             "server_sink_errors", "frames the sink raised on (dropped, counted)"
-        )
-        self._m_decompressed = registry.counter(
-            "server_frames_decompressed",
-            "compressed data envelopes inflated at ingest",
-        )
-        self._m_compressed_bytes = registry.counter(
-            "server_compressed_bytes",
-            "wire bytes of compressed envelope payloads received",
         )
         registry.gauge(
             "server_pending_bytes",
@@ -501,11 +478,12 @@ class SynopsisServer:
                 if partial.partial:
                     self._m_truncated.inc()
                 return
-            if hello[:4] != _MAGIC:
+            magic, version, _flags = _HELLO.unpack(hello)
+            if magic != _MAGIC or version != _PROTOCOL_VERSION:
                 self._m_truncated.inc()
                 return
             try:
-                await self._serve(reader, writer, hello, closed)
+                await self._serve(reader, writer, closed)
             except (ConnectionError, OSError):
                 pass  # peer died mid-conversation; teardown below
         except asyncio.CancelledError:
@@ -522,13 +500,14 @@ class SynopsisServer:
                 pass
             await asyncio.gather(closed, return_exceptions=True)
 
-    async def _serve(self, reader, writer, hello: bytes, closed) -> None:
-        """The credit/ack envelope protocol behind the magic hello."""
-        _magic, _version, flags = _HELLO.unpack(hello)
-        accepted = flags & _FLAG_COMPRESS if self.compression else 0
-        writer.write(
-            _HELLO_ACK.pack(_MAGIC, _PROTOCOL_VERSION, accepted, self.credit_window)
-        )
+    async def _serve(self, reader, writer, closed) -> None:
+        """The credit/ack envelope protocol behind the magic hello.
+
+        Every hello is answered with accepted flags 0: a client that
+        sets a hello flag learns it was declined and sends plain
+        envelopes.
+        """
+        writer.write(_HELLO_ACK.pack(_MAGIC, _PROTOCOL_VERSION, 0, self.credit_window))
         self._m_credits.inc(self.credit_window)
         try:
             await writer.drain()
@@ -546,7 +525,7 @@ class SynopsisServer:
             if etype == _ENV_BYE:
                 return
             known = (
-                etype in (_ENV_DATA, _ENV_DATA_Z, _ENV_REPLAY, _ENV_DISOWN)
+                etype in (_ENV_DATA, _ENV_REPLAY, _ENV_DISOWN)
                 or etype in _CONTROL_ENVELOPES
             )
             if not known or length > _MAX_FRAME_PAYLOAD:
@@ -560,8 +539,8 @@ class SynopsisServer:
             if etype == _ENV_HEALTH:
                 self._answer_health(writer)
                 continue
-            if etype in (_ENV_TELEMETRY, _ENV_TELEMETRY_Z):
-                self._absorb_telemetry(payload, etype == _ENV_TELEMETRY_Z)
+            if etype == _ENV_TELEMETRY:
+                self._absorb_telemetry(payload)
                 continue
             wire = _ENVELOPE.size + length
             if etype in (_ENV_REPLAY, _ENV_DISOWN):
@@ -580,20 +559,10 @@ class SynopsisServer:
                     deliver=deliver, sheddable=False,
                 )
                 continue
-            if etype == _ENV_DATA_Z:
-                try:
-                    frame = zlib.decompress(payload)
-                except zlib.error:
-                    self._m_truncated.inc()
-                    return
-                self._m_decompressed.inc()
-                self._m_compressed_bytes.inc(length)
-            else:
-                frame = payload
             seq += 1
             self._m_frames.inc()
             self._m_bytes.inc(wire)
-            await self._admit(frame, priority, writer, seq, wire, closed)
+            await self._admit(payload, priority, writer, seq, wire, closed)
 
     # -- fleet reroute (queued control, DESIGN.md §16) -------------------------
     def _deliver_replay(self, frame: bytes) -> None:
@@ -609,19 +578,13 @@ class SynopsisServer:
             self.disown(list(payload))
 
     # -- fleet observability (control envelopes) ------------------------------
-    def _absorb_telemetry(self, payload: bytes, compressed: bool) -> None:
+    def _absorb_telemetry(self, payload: bytes) -> None:
         """File one TELEMETRY envelope with the federation.
 
         The payload is JSON ``{"node": <id>, "families": [...]}`` in the
         registry snapshot wire form; anything undecodable is counted and
         dropped — a misbehaving node must not take the ingest edge down.
         """
-        if compressed:
-            try:
-                payload = zlib.decompress(payload)
-            except zlib.error:
-                self._m_telemetry_rejected.inc()
-                return
         try:
             record = json.loads(payload.decode("utf-8"))
             node = str(record["node"])
@@ -810,7 +773,7 @@ class FrameClient:
     address and hand it to :class:`~repro.core.stream.SynopsisStream`
     — every flushed frame is written to the socket.  The client opens
     with the magic hello and then speaks the envelope protocol (credit
-    backpressure, per-frame acks, optional compression); the
+    backpressure, per-frame acks); the
     constructor raises ``ConnectionError`` when the peer does not
     answer as a protocol-version-3 synopsis server.
 
@@ -823,10 +786,6 @@ class FrameClient:
     registry:
         Telemetry registry for the ``client_*`` metrics (labelled by
         ``peer``); defaults to :data:`~repro.telemetry.NULL_REGISTRY`.
-    compression:
-        Request zlib frame compression at connect; the server may
-        decline, in which case frames go uncompressed (negotiation
-        fallback — check :attr:`compression` for the outcome).
     priority_fn:
         Optional ``frame -> priority`` classifier consulted when
         :meth:`send` is not given an explicit priority — e.g.
@@ -864,7 +823,6 @@ class FrameClient:
         timeout: float = 10.0,
         *,
         registry=None,
-        compression: bool = False,
         priority_fn: Optional[Callable[[bytes], int]] = None,
         adaptive: Optional[AdaptiveFlush] = None,
         on_flush_size: Optional[Callable[[int], None]] = None,
@@ -879,7 +837,6 @@ class FrameClient:
         self.bytes_sent = 0
         self.frames_sent = 0
         self._closed = False
-        self._compress = False
         self._priority_fn = priority_fn
         self._adaptive = adaptive if adaptive is not None else AdaptiveFlush()
         self._on_flush_size = on_flush_size
@@ -918,33 +875,18 @@ class FrameClient:
             "sends that blocked waiting for the server to re-grant credit",
             labels=labels,
         ).labels(peer=peer)
-        self._m_compressed = registry.counter(
-            "client_frames_compressed",
-            "frames sent as zlib-compressed envelopes",
-            labels=labels,
-        ).labels(peer=peer)
-        self._m_saved = registry.counter(
-            "client_compression_saved_bytes",
-            "wire bytes saved by frame compression",
-            labels=labels,
-        ).labels(peer=peer)
         self._m_telemetry_pushes = registry.counter(
             "client_telemetry_pushes",
             "registry snapshots pushed to the analyzer (TELEMETRY envelopes)",
             labels=labels,
         ).labels(peer=peer)
-        self._handshake(compression)
+        self._handshake()
 
     # -- introspection -------------------------------------------------------
     @property
     def closed(self) -> bool:
         """True once :meth:`close` has run."""
         return self._closed
-
-    @property
-    def compression(self) -> bool:
-        """True when the server accepted compressed envelopes."""
-        return self._compress
 
     @property
     def credit(self) -> int:
@@ -989,13 +931,12 @@ class FrameClient:
         return self._adaptive.rtt_us
 
     # -- wire ----------------------------------------------------------------
-    def _handshake(self, want_compression: bool) -> None:
+    def _handshake(self) -> None:
         """Exchange hello / hello-ack; the socket is closed on any failure."""
-        flags = _FLAG_COMPRESS if want_compression else 0
         try:
-            self._sock.sendall(_HELLO.pack(_MAGIC, _PROTOCOL_VERSION, flags))
+            self._sock.sendall(_HELLO.pack(_MAGIC, _PROTOCOL_VERSION, 0))
             ack = self._recv_exact(_HELLO_ACK.size)
-            magic, version, accepted, window = _HELLO_ACK.unpack(ack)
+            magic, version, _accepted, window = _HELLO_ACK.unpack(ack)
             if magic != _MAGIC:
                 raise ConnectionError("peer is not a SAAD synopsis server")
             if version != _PROTOCOL_VERSION:
@@ -1007,7 +948,6 @@ class FrameClient:
             self._sock.close()
             raise
         self._server_version = version
-        self._compress = bool(accepted & _FLAG_COMPRESS)
         self._window = self._credit = window
 
     def _recv_exact(self, n: int) -> bytes:
@@ -1027,8 +967,7 @@ class FrameClient:
     def send(self, frame: bytes, priority: Optional[int] = None) -> None:
         """Write one frame to the socket, respecting the credit window.
 
-        The frame travels in a data envelope
-        (compressed when that shrinks it and the server agreed); if the
+        The frame travels verbatim in a data envelope; if the
         envelope exceeds the remaining credit, the call blocks draining
         acks until the server re-grants enough (``client_credit_stalls``
         counts these waits, bounded by ``timeout``).  ``priority``
@@ -1043,14 +982,7 @@ class FrameClient:
                 if self._priority_fn is not None
                 else PRIORITY_SAMPLED
             )
-        payload, etype = frame, _ENV_DATA
-        if self._compress:
-            squeezed = zlib.compress(frame, _COMPRESS_LEVEL)
-            if len(squeezed) < len(frame):
-                payload, etype = squeezed, _ENV_DATA_Z
-                self._m_compressed.inc()
-                self._m_saved.inc(len(frame) - len(squeezed))
-        self._send_sequenced(_ENVELOPE.pack(etype, priority, len(payload)) + payload)
+        self._send_sequenced(_ENVELOPE.pack(_ENV_DATA, priority, len(frame)) + frame)
         self._maybe_push_telemetry()
 
     def _send_sequenced(self, envelope: bytes) -> None:
@@ -1126,8 +1058,7 @@ class FrameClient:
 
         ``families`` defaults to a fresh ``collect()`` from the
         configured ``telemetry_source``.  The snapshot rides a
-        TELEMETRY envelope (compressed when the server agreed to zlib
-        and that shrinks it) outside the credit window, so it cannot
+        TELEMETRY envelope outside the credit window, so it cannot
         stall — or be stalled by — the data path.  Raises
         ``RuntimeError`` after :meth:`close` and ``ValueError`` when no
         families are given and no source is configured.
@@ -1141,13 +1072,8 @@ class FrameClient:
         body = json.dumps(
             {"node": self.node, "families": families}, sort_keys=True
         ).encode("utf-8")
-        payload, etype = body, _ENV_TELEMETRY
-        if self._compress:
-            squeezed = zlib.compress(body, _COMPRESS_LEVEL)
-            if len(squeezed) < len(body):
-                payload, etype = squeezed, _ENV_TELEMETRY_Z
-        self._sock.sendall(_ENVELOPE.pack(etype, 0, len(payload)) + payload)
-        self.bytes_sent += _ENVELOPE.size + len(payload)
+        self._sock.sendall(_ENVELOPE.pack(_ENV_TELEMETRY, 0, len(body)) + body)
+        self.bytes_sent += _ENVELOPE.size + len(body)
         self._m_telemetry_pushes.inc()
         self._last_telemetry = time.monotonic()
 

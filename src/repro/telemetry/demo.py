@@ -141,7 +141,7 @@ def demo_deployment():
 
     # Scale-out pass: replay the detection trace through a 2-shard pool
     # fed over the TCP ingest loopback — with the overload machinery
-    # attached (shedder, compression, novelty-classified priorities) —
+    # attached (shedder, novelty-classified priorities) —
     # so the shard_* coordinator, shard_server_* transport, and the
     # overload families (server_*, shed_*, client_*, watermark gauges)
     # are all live in this registry too.  The same loopback doubles as
@@ -186,7 +186,6 @@ def demo_deployment():
             with FrameClient(
                 server.address,
                 registry=saad.registry,
-                compression=True,
                 priority_fn=novelty.frame_priority,
                 node="edge-beta",
                 telemetry_source=edge,

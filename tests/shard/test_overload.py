@@ -1,8 +1,9 @@
 """Ingest-edge overload behavior: credit backpressure, read pausing,
-priority shedding, compression negotiation, adaptive flush bounds, and
+priority shedding, the declined hello flag, adaptive flush bounds, and
 the FrameClient close contract (DESIGN.md §15, docs/OPERATIONS.md §8)."""
 
 import itertools
+import socket
 import threading
 import time
 
@@ -17,6 +18,17 @@ from repro.shard import (
     LoadShedder,
     SignatureNovelty,
     SynopsisServer,
+)
+from repro.shard.server import (
+    _ACK,
+    _ACK_GRANT,
+    _ENV_BYE,
+    _ENV_DATA,
+    _ENVELOPE,
+    _HELLO,
+    _HELLO_ACK,
+    _MAGIC,
+    _PROTOCOL_VERSION,
 )
 from repro.telemetry import MetricsRegistry
 
@@ -274,40 +286,32 @@ class TestShedding:
 
 
 class TestCompression:
-    def test_compression_round_trips(self):
-        frame = encode_frame(make_trace(200))
-        registry = MetricsRegistry()
-        delivered = []
-        with SynopsisServer(delivered.append, registry=registry) as server:
-            with FrameClient(
-                server.address, registry=registry, compression=True
-            ) as client:
-                assert client.compression
-                client.send(frame)
-                client.wait_acked()
-                assert client.bytes_sent < len(frame)  # it actually shrank
-            _wait_for(lambda: len(delivered) == 1)
-        assert delivered[0] == frame
-        assert _counter(registry, "client_frames_compressed") == 1
-        assert _counter(registry, "server_frames_decompressed") == 1
-        assert _counter(registry, "client_compression_saved_bytes") > 0
-
     def test_server_declines_falls_back_to_uncompressed(self):
+        """A hello asking for compression (flag bit 0x01) is answered
+        with accepted flags 0, and the peer's plain frames are delivered."""
         frame = encode_frame(make_trace(200))
-        registry = MetricsRegistry()
         delivered = []
-        server = SynopsisServer(delivered.append, registry=registry, compression=False)
-        with server:
-            with FrameClient(
-                server.address, registry=registry, compression=True
-            ) as client:
-                assert not client.compression
-                client.send(frame)
-                client.wait_acked()
+        with SynopsisServer(delivered.append) as server:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                replies = sock.makefile("rb")
+                sock.sendall(_HELLO.pack(_MAGIC, _PROTOCOL_VERSION, 0x01))
+                assert _HELLO_ACK.unpack(replies.read(_HELLO_ACK.size)) == (
+                    _MAGIC,
+                    _PROTOCOL_VERSION,
+                    0,
+                    server.credit_window,
+                )
+                envelope = _ENVELOPE.pack(_ENV_DATA, 0, len(frame)) + frame
+                sock.sendall(envelope)
+                assert _ACK.unpack(replies.read(_ACK.size)) == (
+                    _ACK_GRANT,
+                    1,
+                    len(envelope),
+                )
+                sock.sendall(_ENVELOPE.pack(_ENV_BYE, 0, 0))
+                replies.close()
             _wait_for(lambda: len(delivered) == 1)
         assert delivered[0] == frame
-        assert _counter(registry, "client_frames_compressed") == 0
-        assert _counter(registry, "server_frames_decompressed") == 0
 
 
 class TestAdaptiveFlushWiring:
@@ -374,7 +378,7 @@ class TestFacadeOverloadWiring:
         )
         saad.stages.register("read")
         lp = saad.logpoints.register("step").lpid
-        node.connect(address, compression=True)
+        node.connect(address)
         log = node.logger("demo")
         for i in range(200):
             clock[0] = i * 0.01

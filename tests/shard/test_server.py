@@ -1,5 +1,6 @@
 """TCP synopsis ingest: framing, reassembly, truncation accounting, the
-client handshake, and a byte-fuzzed accept path."""
+client handshake, a byte-fuzzed accept path, and ``python -m repro
+serve``."""
 
 import contextlib
 import gc
@@ -200,12 +201,21 @@ def _reject_reasons():
         st.binary(min_size=1, max_size=48).filter(lambda b: b[:4] != _MAGIC),
         # a truncated hello
         st.integers(1, _HELLO.size - 1).map(lambda n: _HELLO_BYTES[:n]),
-        # an unknown envelope type, any length, any tail
+        # a hello with the magic but another protocol version, any flags
+        # and any tail
+        st.builds(
+            lambda version, flags, tail: _HELLO.pack(_MAGIC, version, flags) + tail,
+            st.integers(0, 255).filter(lambda version: version != _PROTOCOL_VERSION),
+            st.integers(0, 255),
+            st.binary(max_size=16),
+        ),
+        # an unknown envelope type (1 and 4 included: older clients'
+        # compressed data and telemetry), any length, any tail
         st.builds(
             lambda etype, length, tail: _HELLO_BYTES
             + _ENVELOPE.pack(etype, 0, length)
             + tail,
-            st.integers(8, 255),
+            st.one_of(st.sampled_from([1, 4]), st.integers(8, 255)),
             st.integers(0, 2**32 - 1),
             st.binary(max_size=16),
         ),
@@ -275,3 +285,43 @@ class TestEndToEnd:
             events = pool.close()
         assert events
         assert pool.anomalies == events
+
+
+class TestServeCli:
+    """``python -m repro serve`` end to end, in both of its modes."""
+
+    def test_collect_mode_with_watermarks(self, capsys):
+        from repro.shard.cli import serve
+
+        argv = [
+            "--duration", "0.2",
+            "--credit-window", "65536",
+            "--high-watermark", "1048576",
+            "--low-watermark", "524288",
+            "--shed-watermark", "131072",
+            "--hard-watermark", "262144",
+        ]
+        assert serve(argv) == 0
+        out = capsys.readouterr().out
+        assert "(collecting)" in out
+        assert "0 synopses in 0 frames (0 bytes)" in out
+
+    def test_model_mode_with_two_shards(self, model, tmp_path, capsys):
+        from repro.core.persistence import save_model
+        from repro.shard.cli import serve
+
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        argv = ["--duration", "0.2", "--model", str(path), "--shards", "2"]
+        assert serve(argv) == 0
+        out = capsys.readouterr().out
+        assert "(detecting with 2 shard(s))" in out
+        assert "0 anomaly events merged" in out
+
+    def test_hard_watermark_needs_a_shed_watermark(self, capsys):
+        from repro.shard.cli import serve
+
+        with pytest.raises(SystemExit) as exit_info:
+            serve(["--duration", "0.2", "--hard-watermark", "262144"])
+        assert exit_info.value.code == 2
+        assert "--hard-watermark requires --shed-watermark" in capsys.readouterr().err
