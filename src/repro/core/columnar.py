@@ -1,10 +1,10 @@
 """Columnar batch decoding + compiled per-stage classifiers (DESIGN §13).
 
-The scalar detect path classifies one synopsis at a time: per task it
-interns a signature, probes two model dicts, and compares one float.
 This module lowers the trained model and the wire format into forms the
-batch path (:meth:`repro.core.detector.AnomalyDetector.observe_batch`)
-can process an entire frame run at a time:
+detector reads: the rule tables every ingest route classifies against,
+and the columns the batch path
+(:meth:`repro.core.detector.AnomalyDetector.observe_batch`) processes an
+entire frame run at a time:
 
 * :func:`scan_frames` and :func:`route_payload` are the two
   decode-free record walkers: one collects (and validates) record
@@ -26,8 +26,9 @@ can process an entire frame run at a time:
 The integer cuts are *exact*: for each profile's float
 ``duration_threshold`` the compiler finds the largest integer ``cut``
 with ``cut / 1e6 <= threshold``, so ``duration_us > cut`` decides
-exactly like the scalar path's ``duration_us / 1e6 > threshold``.
-Equivalence is enforced bit-for-bit by ``tests/core/test_columnar.py``.
+exactly like ``duration_us / 1e6 > threshold`` in the float reference
+classifier (``OutlierModel.classify_parts``).  Equivalence is enforced
+bit-for-bit by ``tests/core/test_columnar.py``.
 
 Compiled tables are immutable snapshots of one model **generation**
 (:attr:`~repro.core.model.OutlierModel.generation`); retraining bumps

@@ -1,7 +1,10 @@
 """Online anomaly detection over the synopsis stream (paper Sec. 3.3.3).
 
 The detector buckets classified tasks into fixed time windows per stage
-key.  When a window closes (event time passes its end) it runs:
+key.  Every ingest route classifies what the wire carries (the start in
+whole ms, the duration in whole µs) against one classifier, the compiled
+rule table of :func:`repro.core.columnar.compile_model`.  When a window
+closes (event time passes its end) it runs:
 
 * **Flow anomaly test** — reject H0 "proportion of flow outliers <= the
   training proportion" at ``alpha``; *or* any never-seen signature.
@@ -27,12 +30,13 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.telemetry import MetricsRegistry
 
 from . import columnar
+from .columnar import FLOW_OUTLIER, KNOWN, PERF_ELIGIBLE
 from .config import SAADConfig
 from .features import Signature, StageKey
 from .interning import SignatureIdSpace, canonical_tuple, signature_of_entries
-from .model import OutlierModel, TaskLabel
+from .model import OutlierModel
 from .stats import ProportionTest, proportion_exceeds_test
-from .synopsis import SYNOPSIS_ENTRY, SYNOPSIS_HEADER, TaskSynopsis
+from .synopsis import MAX_TS_MS, MAX_UID, SYNOPSIS_ENTRY, SYNOPSIS_HEADER, TaskSynopsis
 
 FLOW = "flow"
 PERFORMANCE = "performance"
@@ -43,12 +47,8 @@ PERFORMANCE = "performance"
 #: only matters for adversarial inputs.
 _WIRE_RULE_CACHE_MAX = 1 << 16
 
-#: The label ``CompiledStage.classify`` gives each verdict, indexed by
-#: its flag bits plus 8 when the duration exceeds the cut.
-_VERDICT_LABELS = tuple(
-    columnar.CompiledStage((0, 0), bytearray([bits & 7]), [0]).classify(0, bits >> 3)
-    for bits in range(16)
-)
+#: The wire's int32 duration field: longer durations are clamped.
+_MAX_DURATION_US = 2**31 - 1
 
 #: Records per vectorized slice of the batch detect path.  Bounds the
 #: working set of the gathered columns (~1 MiB of int64 per column).
@@ -223,10 +223,11 @@ class AnomalyDetector:
         # for the model and generation in ``_perf_baselines_of``.
         self._perf_baselines: Dict[Tuple[StageKey, Signature], float] = {}
         self._perf_baselines_of: Optional[Tuple[OutlierModel, int]] = None
-        # Read off ``_compiled`` and reset with it: the record route's stage
-        # int -> (stage key, {raw entry bytes -> (signature, flags, cut)})
-        # and the kernel's stage|sig-id cell -> (stage key, signature, ...).
-        self._wire_rules: Dict[int, Tuple[StageKey, Dict[bytes, tuple]]] = {}
+        # Read off ``_compiled`` and reset with it: the rule cache's stage
+        # int -> (stage key, {signature or raw entry bytes -> (signature,
+        # flags, cut)}) and the kernel's stage|sig-id cell -> (stage key,
+        # signature, ...).
+        self._wire_rules: Dict[int, Tuple[StageKey, Dict[object, tuple]]] = {}
         self._cells: Dict[int, tuple] = {}
         self._wire_rule_count = 0
         # Columnar batch path: compiled verdict tables plus the dense
@@ -320,66 +321,95 @@ class AnomalyDetector:
     def observe(self, synopsis: TaskSynopsis) -> List[AnomalyEvent]:
         """Ingest one synopsis; returns anomalies from any closed windows.
 
-        Fast path: classifies straight from the synopsis fields without
-        materializing a :class:`FeatureVector`.
+        Classifies what the wire carries: the start in whole ms and the
+        duration in whole µs, clamped at 2**31-1, against the compiled
+        rule table, so a synopsis counts exactly as it would through
+        :meth:`observe_frame` once encoded.  Raises ``ValueError`` for a
+        uid or start time the wire cannot carry, as
+        :func:`~repro.core.synopsis.encode_fields` does.
         """
-        stage_key = (
-            (synopsis.host_id, synopsis.stage_id)
-            if self.model.config.per_host
-            else (0, synopsis.stage_id)
+        uid = synopsis.uid
+        if uid < 0 or uid > MAX_UID:
+            raise ValueError(f"uid {uid} does not fit the 32-bit wire field")
+        ts_ms = int(synopsis.start_time * 1000)
+        if ts_ms < 0 or ts_ms > MAX_TS_MS:
+            raise ValueError(
+                f"start_time {synopsis.start_time} does not fit the 64-bit wire field"
+            )
+        duration_us = int(synopsis.duration * 1_000_000)
+        if duration_us > _MAX_DURATION_US:
+            duration_us = _MAX_DURATION_US
+        compiled = self.compiled_model()
+        host_id, stage_id = synopsis.host_id, synopsis.stage_id
+        stage_int = (host_id << 8) | stage_id if compiled.per_host else stage_id
+        stage = self._wire_rules.get(stage_int) or self._stage_rules(
+            compiled, host_id, stage_id, stage_int
         )
+        stage_key, rules = stage
+        signature = synopsis.signature
+        rule = rules.get(signature)
+        if rule is None:
+            rule = rules[signature] = self._wire_rule(
+                compiled, stage_key, stage_int, signature
+            )
+        _, flags, cut = rule
         return self._observe(
             stage_key,
-            synopsis.signature,
-            self.model.classify_parts(stage_key, synopsis.signature, synopsis.duration),
-            synopsis.duration,
-            synopsis.start_time,
-            (synopsis.host_id, synopsis.uid) if self._tracing else None,
+            signature,
+            flags,
+            duration_us > cut,
+            duration_us,
+            ts_ms,
+            (host_id, uid) if self._tracing else None,
         )
 
     def _observe(
         self,
         stage_key: StageKey,
         signature: Signature,
-        label: TaskLabel,
-        duration: float,
-        start_time: float,
+        flags: int,
+        past_cut: bool,
+        duration_us: int,
+        ts_ms: int,
         trace_key: Optional[Tuple[int, int]] = None,
     ) -> List[AnomalyEvent]:
         """Count one classified task into its window bucket and close
-        what it ripened; ``trace_key`` is its ``(host_id, uid)`` when
-        tracing is on, else None.  The one accounting step of both the
-        object route and the record route."""
+        what it ripened.  ``flags`` are its rule's verdict bits (0 for a
+        novel signature) and ``past_cut`` whether its duration is past
+        the rule's cut; ``trace_key`` is its ``(host_id, uid)`` when
+        tracing is on, else None.  The one accounting step of the object
+        and record routes."""
         self._tasks_seen += 1
         width = self.config.window_s
+        start_time = ts_ms / 1000.0
         index = int(start_time // width)
         bucket = self._buckets.get((stage_key, index))
         if bucket is None:
             bucket = self._open_bucket(stage_key, index)
         bucket.n += 1
-        if label.new_signature:
-            bucket.flow_outliers += 1
-            bucket.new_signatures.add(signature)
-        elif label.flow_outlier:
-            bucket.flow_outliers += 1
-        if label.perf_eligible:
+        if flags & PERF_ELIGIBLE:
             counts = bucket.perf.get(signature)
             if counts is None:
                 counts = bucket.perf[signature] = [0, 0]
             counts[1] += 1
-            if label.perf_outlier:
+            if past_cut:
                 counts[0] += 1
+        if not flags:
+            bucket.flow_outliers += 1
+            bucket.new_signatures.add(signature)
+        elif flags & FLOW_OUTLIER:
+            bucket.flow_outliers += 1
         if trace_key is not None:
             # Exemplar candidates.  Candidate turnover is O(K log n) over
             # a window, so the steady-state cost is two comparisons.
             k = self.exemplars_per_window
-            if label.new_signature and len(bucket.new_sig_keys) < k:
+            if not flags and len(bucket.new_sig_keys) < k:
                 bucket.new_sig_keys.append(trace_key)
             slow = bucket.slow
             if len(slow) < k:
-                heapq.heappush(slow, (duration, trace_key))
-            elif slow and duration > slow[0][0]:
-                heapq.heapreplace(slow, (duration, trace_key))
+                heapq.heappush(slow, (duration_us, trace_key))
+            elif slow and duration_us > slow[0][0]:
+                heapq.heapreplace(slow, (duration_us, trace_key))
         if start_time > self._watermark:
             self._watermark = start_time
         # _close_ripe_windows' own peek, inlined: the bucket above is
@@ -608,13 +638,13 @@ class AnomalyDetector:
             if bucket is None:
                 bucket = self._open_bucket(stage_key, index)
             bucket.n += count
-            if not flags & columnar.KNOWN:
+            if not flags & KNOWN:
                 bucket.flow_outliers += count
                 bucket.new_signatures.add(signature)
             else:
-                if flags & columnar.FLOW_OUTLIER:
+                if flags & FLOW_OUTLIER:
                     bucket.flow_outliers += count
-                if flags & columnar.PERF_ELIGIBLE:
+                if flags & PERF_ELIGIBLE:
                     perf = bucket.perf.get(signature)
                     if perf is None:
                         perf = bucket.perf[signature] = [0, 0]
@@ -669,36 +699,44 @@ class AnomalyDetector:
         for record in records:
             host_id, stage_id, uid, ts_ms, duration_us, n = unpack_header(data, record)
             stage_int = (host_id << 8) | stage_id if per_host else stage_id
-            stage = cache.get(stage_int)
-            if stage is None:
-                stage_key = (host_id, stage_id) if per_host else (0, stage_id)
-                stage = cache[stage_int] = (stage_key, {})
+            stage = cache.get(stage_int) or self._stage_rules(
+                compiled, host_id, stage_id, stage_int
+            )
             stage_key, rules = stage
             start = record + header_size
             entry_bytes = data[start : start + entry_size * n]
             rule = rules.get(entry_bytes)
             if rule is None:
-                rule = self._wire_rule(compiled, stage_key, stage_int, entry_bytes)
-                rules[entry_bytes] = rule
+                rule = rules[entry_bytes] = self._wire_rule(
+                    compiled, stage_key, stage_int, signature_of_entries(entry_bytes)
+                )
             signature, flags, cut = rule
             emitted = observe(
                 stage_key,
                 signature,
-                _VERDICT_LABELS[flags | 8 if duration_us > cut else flags],
-                duration_us / 1_000_000.0,
-                ts_ms / 1000.0,
+                flags,
+                duration_us > cut,
+                duration_us,
+                ts_ms,
                 (host_id, uid) if tracing else None,
             )
             if emitted:
                 events.extend(emitted)
         return events
 
-    def _wire_rule(self, compiled, stage_key, stage_int, entry_bytes) -> tuple:
+    def _stage_rules(self, compiled, host_id, stage_id, stage_int) -> tuple:
+        """Open the rule cache's ``(stage key, rules)`` entry for a stage;
+        ``rules`` maps a signature (object route) or raw entry bytes
+        (record route) to ``(signature, flags, cut)``."""
+        stage_key = (host_id, stage_id) if compiled.per_host else (0, stage_id)
+        self._wire_rules[stage_int] = stage = (stage_key, {})
+        return stage
+
+    def _wire_rule(self, compiled, stage_key, stage_int, signature) -> tuple:
         """``(signature, flags, cut)`` for a rule-cache miss.  Sig-ids are
         looked up, never minted: a signature without one is novel, unless
         the id space filled up before a retrain trained it."""
         self._count_rule()  # at the cap, the caller's stage entry goes too
-        signature = signature_of_entries(entry_bytes)
         table = compiled.stages.get(stage_int)
         sig_id = compiled.space.ids.get(signature)
         flags, cut = 0, columnar.NO_CUT

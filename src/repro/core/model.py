@@ -17,10 +17,13 @@ outlier share, and every fold's held-out rate are derived from that one
 sorted array (the per-fold training percentile walks the sorted array
 skipping the held-out multiset instead of copying and re-sorting).
 
-Classification at runtime is hash-map lookups plus one float comparison,
-matching the paper's "extremely light-weight" claim; the hot path
-(:meth:`OutlierModel.classify_parts`) returns per-profile cached labels
-so steady-state classification allocates nothing.
+At runtime the detector classifies against the profiles lowered to
+flat per-stage rule tables (:func:`repro.core.columnar.compile_model`):
+an array read and one integer comparison per task, matching the paper's
+"extremely light-weight" claim.  :meth:`OutlierModel.classify_parts` is
+the float reference those tables are tested against, and the tracer's
+tail retention classifies with it; it returns per-profile cached labels,
+so it allocates nothing at steady state.
 """
 
 from __future__ import annotations
@@ -284,7 +287,8 @@ class OutlierModel:
     def classify_parts(
         self, stage_key: StageKey, signature: Signature, duration: float
     ) -> TaskLabel:
-        """Hot-path classification from the raw feature components.
+        """Classification from the raw feature components, on float
+        durations: the reference the compiled rule tables are held to.
 
         Avoids constructing a :class:`FeatureVector` and returns cached
         label objects — zero allocations at steady state.

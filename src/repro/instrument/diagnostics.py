@@ -109,17 +109,6 @@ RULES: Dict[str, Rule] = {
             "retention policy.",
         ),
         Rule(
-            "CP001",
-            INFO,
-            "per-task detect loop on a batch-capable path",
-            "Shard workers and benchmark legs that loop observe()/classify() "
-            "over individual synopses pay Python dispatch per task on paths "
-            "where the detector accepts whole wire frames: observe_batch() "
-            "ingests the columnar way and a CompiledModel classifies from "
-            "flat tables.  Deliberate scalar baselines should disable the "
-            "rule inline.",
-        ),
-        Rule(
             "TM001",
             INFO,
             "direct mutation of a telemetry-backed counter",

@@ -37,10 +37,6 @@ SUBPROCESS_BLOCKING = {"run", "call", "check_call", "check_output", "Popen"}
 #: Builtins that perform real, blocking I/O.
 BLOCKING_BUILTINS = {"open", "input"}
 
-#: Detect-path methods that have a batch-capable equivalent (CP001):
-#: ``observe`` -> ``observe_batch``, ``classify`` -> compiled rule tables.
-_BATCH_CAPABLE_METHODS = frozenset({"observe", "classify"})
-
 #: Span-lifecycle method names on tracer-like receivers (TR001).  Sim
 #: and server code should never call these directly — the task execution
 #: tracker emits spans from set_context/end_task when tracing is on.
@@ -141,11 +137,6 @@ class FileFacts:
     tracer_calls: List[Tuple[int, int, str, str, bool]] = field(
         default_factory=list
     )
-    #: (line, col, receiver, method) of per-task ``observe``/``classify``
-    #: calls made inside a loop body (CP001).
-    detect_loop_calls: List[Tuple[int, int, str, str]] = field(
-        default_factory=list
-    )
     #: Inline suppression directives: line -> set of rule tokens.
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
 
@@ -196,8 +187,6 @@ class _Collector(ast.NodeVisitor):
         self._func_stack: List[str] = []
         #: Facts of the function currently being visited (innermost).
         self._current: List[FunctionFacts] = []
-        #: How many for/while bodies enclose the current node (CP001).
-        self._loop_depth = 0
 
     # -- imports --------------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
@@ -255,26 +244,12 @@ class _Collector(ast.NodeVisitor):
             self.facts.classes[owner] = (True, logs, ctx, line)
         self._current.append(facts)
         self._func_stack.append(node.name)
-        # A nested def's body does not run per iteration of an enclosing
-        # loop; loop depth restarts inside it.
-        outer_depth, self._loop_depth = self._loop_depth, 0
         self.generic_visit(node)
-        self._loop_depth = outer_depth
         self._func_stack.pop()
         self._current.pop()
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
-
-    # -- loops (CP001 scope) ---------------------------------------------------
-    def _visit_loop(self, node) -> None:
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
-
-    visit_For = _visit_loop
-    visit_AsyncFor = _visit_loop
-    visit_While = _visit_loop
 
     # -- calls ----------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -326,20 +301,6 @@ class _Collector(ast.NodeVisitor):
         ):
             if self._current:
                 self._current[-1].has_dequeue = True
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _BATCH_CAPABLE_METHODS
-            and node.args
-            and self._loop_depth > 0
-        ):
-            self.facts.detect_loop_calls.append(
-                (
-                    node.lineno,
-                    node.col_offset,
-                    receiver_name(func.value),
-                    func.attr,
-                )
-            )
         self.generic_visit(node)
 
     def _mark(self, log=False, set_context=False, end_task=False) -> None:

@@ -16,8 +16,7 @@ The analyzer walks a source tree in three passes:
    CFGs (see :mod:`repro.instrument.cfg`), CC001 over simulated
    event-handler code, TM001 over writes to telemetry-backed
    accounting properties, TR001 over manual tracer span calls in
-   sim/server code, CP001 over per-task detect loops on batch-capable
-   paths, and SL001 over suppression comments.
+   sim/server code, and SL001 over suppression comments.
 
 Findings come back as :class:`~repro.instrument.diagnostics.Diagnostic`
 objects; the baseline layer (:mod:`repro.instrument.baseline`) filters
@@ -188,8 +187,6 @@ class LintEngine:
             out.extend(self._tm001(facts))
         if "TR001" in self.rules:
             out.extend(self._tr001(facts))
-        if "CP001" in self.rules:
-            out.extend(self._cp001(facts))
         if "SL001" in self.rules:
             out.extend(self._sl001(facts))
         return out
@@ -212,37 +209,6 @@ class LintEngine:
                         "suppresses nothing",
                     )
                 )
-        return out
-
-    def _cp001(self, facts) -> List[Diagnostic]:
-        out = []
-        # Advisory, and scoped to the code that actually sits on the hot
-        # ingest path: shard packages and benchmark files.  Application
-        # code feeding a detector object-by-object is out of scope.
-        in_shard = f"{os.sep}shard{os.sep}" in facts.path or facts.path.startswith(
-            f"shard{os.sep}"
-        )
-        in_bench = "bench" in os.path.basename(facts.path).lower() or (
-            f"{os.sep}benchmarks{os.sep}" in facts.path
-            or facts.path.startswith(f"benchmarks{os.sep}")
-        )
-        if not (in_shard or in_bench):
-            return out
-        for line, col, receiver, method in facts.detect_loop_calls:
-            site = f"{receiver}.{method}()" if receiver else f"{method}()"
-            out.append(
-                Diagnostic(
-                    "CP001",
-                    facts.path,
-                    line,
-                    col,
-                    f"per-task {site} loop on a batch-capable path",
-                    "feed whole wire frames through AnomalyDetector."
-                    "observe_batch (or classify through compile_model's "
-                    "rule tables) instead of looping per synopsis; a "
-                    "deliberate scalar baseline can disable CP001 inline",
-                )
-            )
         return out
 
     def _tr001(self, facts) -> List[Diagnostic]:

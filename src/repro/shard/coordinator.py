@@ -41,6 +41,10 @@ from .worker import WorkerInit, worker_main
 
 __all__ = ["ShardedAnalyzer", "ShardWorkerError", "EVENT_ORDER"]
 
+#: Dispatch watermark: a shard's routed-but-unsent synopses are framed
+#: and shipped to its worker once they hold this many bytes.
+_BATCH_BYTES = 1 << 16
+
 
 def EVENT_ORDER(event: AnomalyEvent):
     """The canonical merge order of the sharded event feed.
@@ -89,9 +93,6 @@ class ShardedAnalyzer:
         ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``); None uses the platform default.  The worker
         protocol is spawn-safe.
-    batch_bytes:
-        Dispatch watermark: a shard's routed-but-unsent buffer is
-        flushed to its worker once it holds this many payload bytes.
     ring:
         The consistent-hash ring (:class:`~repro.fleet.ring.HashRing`)
         that owns stage placement, as in the analyzer fleet (DESIGN.md
@@ -112,17 +113,13 @@ class ShardedAnalyzer:
         registry=None,
         tracer=None,
         start_method: Optional[str] = None,
-        batch_bytes: int = 1 << 16,
         ring=None,
     ):
         if shards < 1:
             raise ValueError(f"shards must be >= 1: {shards}")
-        if batch_bytes < 1:
-            raise ValueError(f"batch_bytes must be >= 1: {batch_bytes}")
         self.shards = shards
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.batch_bytes = batch_bytes
         self.anomalies: List[AnomalyEvent] = []
         self.worker_stats: Dict[int, dict] = {}
         self.worker_telemetry: Dict[int, list] = {}
@@ -136,6 +133,7 @@ class ShardedAnalyzer:
         self.ring = ring
         self._table = ring.index_table()
         self._pending: List[List[bytes]] = [[] for _ in range(shards)]
+        self._pending_bytes = [0] * shards
         self._unmerged: List[AnomalyEvent] = []
         self._register_metrics()
 
@@ -265,12 +263,14 @@ class ShardedAnalyzer:
     def dispatch_payload(self, payload: bytes, offset: int, end: int) -> None:
         """Route the bare encoded synopses in ``payload[offset:end]``."""
         self._check_open()
-        counts = route_payload(payload, offset, end, self._table, self._pending)
+        pending = self._pending
+        counts = route_payload(payload, offset, end, self._table, pending)
         for shard_id, count in enumerate(counts):
             if not count:
                 continue
             self._m_synopses.labels(shard=str(shard_id)).inc(count)
-            if sum(map(len, self._pending[shard_id])) >= self.batch_bytes:
+            self._pending_bytes[shard_id] += sum(map(len, pending[shard_id][-count:]))
+            if self._pending_bytes[shard_id] >= _BATCH_BYTES:
                 self._send_shard(shard_id)
         self._drain()
 
@@ -289,10 +289,11 @@ class ShardedAnalyzer:
         if not bucket:
             return
         shard = str(shard_id)
-        self._m_bytes.labels(shard=shard).inc(sum(map(len, bucket)))
+        self._m_bytes.labels(shard=shard).inc(self._pending_bytes[shard_id])
         frames = pack_frames(bucket)
         self._m_frames.labels(shard=shard).inc(len(frames))
         bucket.clear()
+        self._pending_bytes[shard_id] = 0
         self._send(shard_id, ("frames", b"".join(frames)))
 
     def _send(self, shard_id: int, message) -> None:

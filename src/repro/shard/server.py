@@ -1155,7 +1155,7 @@ class FrameClient:
                 if sent_at is not None:
                     before = self._adaptive.size
                     # One controller step per ack — inherently scalar.
-                    after = self._adaptive.observe(  # saadlint: disable=CP001
+                    after = self._adaptive.observe(
                         (self._clock() - sent_at) * 1e6
                     )
                     if after != before and self._on_flush_size is not None:

@@ -124,9 +124,6 @@ def demo_deployment():
 
     replay = saad.collector.synopses[trained:]
     batch_detector = AnomalyDetector(saad.model, saad.config, registry=saad.registry)
-    # Lower the tables up front: a replay this small stays on the
-    # per-record route, which never needs them.
-    batch_detector.compiled_model()
     batch_detector.observe_batch(encode_frame(replay))
     batch_detector.flush()
 

@@ -3,17 +3,19 @@
 ``observe_frame`` and small ``observe_batch`` calls classify each record
 against the compiled verdict tables (integer microsecond cuts, sig-ids
 looked up in the compile's id space) through a rule cache keyed by
-stage and entry bytes; ``observe`` on the decoded synopses classifies
-with ``OutlierModel.classify_parts`` and float thresholds.  Both must
-leave the same window buckets, emit the same events with the same
-exemplar keys, and agree on every window count — across retrains and
-model swaps between frames, which a stale rule cache would get wrong.
+stage and entry bytes; ``observe`` takes a synopsis's float fields,
+quantizes them as the wire does (whole ms, whole µs) and reads the same
+tables through the same cache, keyed by signature.  Fed the same
+unquantized synopses, both must leave the same window buckets, emit the
+same events with the same exemplar keys, and agree on every window
+count — across retrains and model swaps between frames, which a stale
+rule cache would get wrong.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnomalyDetector, OutlierModel, SAADConfig, TaskSynopsis
@@ -106,6 +108,8 @@ def streams(draw):
                 st.integers(0, 5),  # which cut, or 5: a free duration
                 st.integers(-1, 1),  # nudge off the cut
                 st.integers(0, 60_000),  # the free duration
+                st.sampled_from([0.0, 0.001, 0.5, 0.999]),  # ms below the start
+                st.sampled_from([0.0, 0.001, 0.5, 0.999]),  # µs past the duration
             ),
             min_size=1,
             max_size=90,
@@ -113,7 +117,8 @@ def streams(draw):
     )
     tasks = []
     clock = 0
-    for uid, (host, stage, lps, step, ms, pick, nudge, free_us) in enumerate(rows):
+    for uid, row in enumerate(rows):
+        host, stage, lps, step, ms, pick, nudge, free_us, early_ms, extra_us = row
         if step == "advance":
             clock += ms
             ts_ms = clock
@@ -125,7 +130,11 @@ def streams(draw):
         stage_key = (host, stage) if per_host else (0, stage)
         cuts = CUTS.get((per_host, stage_key, intern_signature(lps)), [])
         duration_us = cuts[pick] + nudge if pick < len(cuts) else free_us
-        tasks.append(synopsis(host, stage, uid, ts_ms, duration_us, lps))
+        # Unquantized fields: a start just under a whole ms (a window
+        # edge, for "boundary") and a duration just past a whole µs (a
+        # cut), which the wire truncates.
+        start_ms = max(0.0, ts_ms - early_ms)
+        tasks.append(synopsis(host, stage, uid, start_ms, duration_us + extra_us, lps))
     splits = draw(st.sets(st.integers(1, max(1, len(tasks) - 1)), max_size=6))
     bounds = [0, *sorted(splits - {len(tasks)}), len(tasks)]
     frames = [
@@ -154,8 +163,9 @@ def assert_same(wire, obj, wire_events, obj_events):
 
 
 def replay(per_host, lateness_s, frames, tracing):
-    """Feed ``frames`` to a wire detector and, decoded, to an object
-    detector, comparing them after every frame and after the flush."""
+    """Feed ``frames`` encoded to a wire detector and, synopsis by
+    synopsis, to an object detector, comparing them after every frame
+    and after the flush."""
     model, other = train(TRACE_A, per_host), train(TRACE_B, per_host)
     detectors = []
     for _ in range(2):
@@ -169,9 +179,8 @@ def replay(per_host, lateness_s, frames, tracing):
         detectors.append(AnomalyDetector(model, lateness_s=lateness_s, tracer=tracer))
     wire, obj = detectors
     for tasks, entry, between in frames:
-        frame = encode_frame(tasks)
-        wire_events = getattr(wire, entry)(frame)
-        obj_events = [e for s in decode_frame(frame)[0] for e in obj.observe(s)]
+        wire_events = getattr(wire, entry)(encode_frame(tasks))
+        obj_events = [e for s in tasks for e in obj.observe(s)]
         assert_same(wire, obj, wire_events, obj_events)
         if between == "retrain":
             wire.model.train_features(RETRAIN)
@@ -181,8 +190,17 @@ def replay(per_host, lateness_s, frames, tracing):
     assert wire.registry.get("detector_windows_open").value == 0
 
 
+def past_the_cut():
+    """Ten tasks 0.999 µs past TRACE_A's fractional cut for (0, 1)'s rare
+    flow: the wire truncates each duration to the cut, so none is slow."""
+    cut = CUTS[(True, (0, 1), intern_signature(SIGNATURES[1]))][0]
+    tasks = [synopsis(0, 1, uid, 10 * uid, cut + 0.999, SIGNATURES[1]) for uid in range(10)]
+    return True, 0.0, [(tasks, "observe_frame", None)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(stream=streams(), tracing=st.booleans())
+@example(stream=past_the_cut(), tracing=False)
 def test_record_route_matches_object_route(stream, tracing):
     replay(*stream, tracing)
 

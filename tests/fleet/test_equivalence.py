@@ -22,7 +22,7 @@ def expected(model):
     trace = make_trace(3000, seed=13, faults=True, uid_base=10_000)
     single = AnomalyDetector(model)
     for synopsis in trace:
-        single.observe(synopsis)  # saadlint: disable=CP001
+        single.observe(synopsis)
     single.flush()
     events = sorted(single.anomalies, key=EVENT_ORDER)
     assert events, "workload must produce anomalies for the comparison to bite"

@@ -431,84 +431,6 @@ class TestTR001:
         ) == []
 
 
-class TestCP001:
-    def test_observe_loop_in_shard_package_flagged(self):
-        diags = lint_source(
-            "def drain(detector, trace):\n"
-            "    for synopsis in trace:\n"
-            "        detector.observe(synopsis)\n",
-            path="repro/shard/worker.py",
-        )
-        assert rules_of(diags) == ["CP001"]
-        assert "detector.observe()" in diags[0].message
-        assert "observe_batch" in diags[0].hint
-
-    def test_classify_loop_in_benchmark_file_flagged(self):
-        diags = lint_source(
-            "def leg(model, rows):\n"
-            "    while rows:\n"
-            "        model.classify(*rows.pop())\n",
-            path="benchmarks/test_throughput.py",
-        )
-        assert rules_of(diags) == ["CP001"]
-
-    def test_outside_shard_or_bench_out_of_scope(self):
-        # Application code feeding a detector object-by-object is the
-        # documented scalar API; only hot ingest paths are held to CP001.
-        assert lint_source(
-            "def drain(detector, trace):\n"
-            "    for synopsis in trace:\n"
-            "        detector.observe(synopsis)\n",
-            path="repro/core/pipeline.py",
-        ) == []
-
-    def test_batch_call_ok(self):
-        assert lint_source(
-            "def drain(detector, blobs):\n"
-            "    for blob in blobs:\n"
-            "        detector.observe_batch(blob)\n",
-            path="repro/shard/worker.py",
-        ) == []
-
-    def test_call_outside_loop_ok(self):
-        assert lint_source(
-            "def check(detector, synopsis):\n"
-            "    detector.observe(synopsis)\n",
-            path="repro/shard/worker.py",
-        ) == []
-
-    def test_nested_def_resets_loop_scope(self):
-        # A callback defined inside a loop body runs once per call, not
-        # per iteration; the rule must not fire on its body.
-        assert lint_source(
-            "def build(detector, traces):\n"
-            "    sinks = []\n"
-            "    for trace in traces:\n"
-            "        def sink(synopsis):\n"
-            "            detector.observe(synopsis)\n"
-            "        sinks.append(sink)\n"
-            "    return sinks\n",
-            path="repro/shard/worker.py",
-        ) == []
-
-    def test_advisory_severity(self):
-        diags = lint_source(
-            "def drain(detector, trace):\n"
-            "    for synopsis in trace:\n"
-            "        detector.observe(synopsis)\n",
-            path="shard/worker.py",
-        )
-        assert diags[0].severity_name == "info"
-
-    def test_suppression_comment(self):
-        assert lint_source(
-            "def drain(detector, trace):\n"
-            "    for synopsis in trace:\n"
-            "        detector.observe(synopsis)  # saadlint: disable=CP001\n",
-            path="shard/worker.py",
-        ) == []
-
-
 class TestSeededDefectTree:
     """The analyzer must find every planted defect — and nothing else."""
 
@@ -524,8 +446,6 @@ class TestSeededDefectTree:
         ("TR001", "seeded_sim.py", 59),
         ("TR001", "seeded_sim.py", 61),
         ("LP002", "logpoints.py", 12),
-        ("CP001", "seeded_shard.py", 13),
-        ("CP001", "seeded_bench.py", 14),
         ("SL001", "seeded_wire.py", 15),  # disable=WP999 typo
     }
 

@@ -10,6 +10,8 @@ from repro.telemetry import MetricsRegistry
 from repro.tracing import Tracer, TaskTrace
 from repro.tracing.spans import trace_from_synopsis
 
+from .conftest import make_trace
+
 pytestmark = pytest.mark.shard
 
 
@@ -90,6 +92,36 @@ class TestAccounting:
         assert _sample_total(families["shard_events_merged"]) == len(pool.anomalies)
         # pool is closed: the workers gauge must have come back down
         assert _sample_total(families["shard_workers"]) == 0
+
+    def test_send_points_follow_the_byte_watermark(self, model):
+        # A shard's buffer ships once it holds 64 KiB: these per-shard
+        # frame and byte counts pin every send point of a fixed trace.
+        trace = make_trace(12_000, seed=13, faults=True, uid_base=10_000)
+        registry = MetricsRegistry()
+
+        def sent():
+            families = _families(registry)
+            return tuple(
+                {
+                    int(sample["labels"]["shard"]): int(sample["value"])
+                    for sample in families[name]["samples"]
+                }
+                for name in ("shard_frames_dispatched", "shard_bytes_dispatched")
+            )
+
+        with ShardedAnalyzer(model, 3, registry=registry) as pool:
+            for start in range(0, 6400, 64):
+                pool.dispatch_frame(encode_frame(trace[start : start + 64]))
+            assert sent() == ({0: 1, 1: 1, 2: 1}, {0: 66304, 1: 66304, 2: 66304})
+            for start in range(6400, len(trace), 64):
+                pool.dispatch_frame(encode_frame(trace[start : start + 64]))
+            pool.dispatch(trace[:1000])
+            assert sent() == (
+                {0: 2, 1: 2, 2: 2},
+                {0: 132240, 1: 132608, 2: 132608},
+            )
+            pool.close()
+        assert sent() == ({0: 3, 1: 3, 2: 3}, {0: 166358, 1: 160321, 2: 160321})
 
     def test_aggregate_telemetry_sums_worker_counters(self, model, detect_trace):
         with ShardedAnalyzer(model, 3) as pool:
