@@ -36,7 +36,7 @@ from .features import Signature, StageKey
 from .interning import SignatureIdSpace, canonical_tuple, signature_of_entries
 from .model import OutlierModel
 from .stats import ProportionTest, proportion_exceeds_test
-from .synopsis import MAX_TS_MS, MAX_UID, SYNOPSIS_ENTRY, SYNOPSIS_HEADER, TaskSynopsis
+from .synopsis import SYNOPSIS_ENTRY, SYNOPSIS_HEADER, TaskSynopsis, wire_header
 
 FLOW = "flow"
 PERFORMANCE = "performance"
@@ -46,9 +46,6 @@ PERFORMANCE = "performance"
 #: together.  Real streams repeat a handful of shapes per stage; the cap
 #: only matters for adversarial inputs.
 _WIRE_RULE_CACHE_MAX = 1 << 16
-
-#: The wire's int32 duration field: longer durations are clamped.
-_MAX_DURATION_US = 2**31 - 1
 
 #: Records per vectorized slice of the batch detect path.  Bounds the
 #: working set of the gathered columns (~1 MiB of int64 per column).
@@ -133,8 +130,9 @@ class _WindowBucket:
     # Exemplar candidates, tracked only when tracing is on:
     # trace keys of new-signature tasks (first K, arrival order) ...
     new_sig_keys: List[Tuple[int, int]] = field(default_factory=list)
-    # ... and a min-heap of (duration, trace key) for the K slowest.
-    slow: List[Tuple[float, Tuple[int, int]]] = field(default_factory=list)
+    # ... and a min-heap of (duration in whole µs, trace key) for the K
+    # slowest.
+    slow: List[Tuple[int, Tuple[int, int]]] = field(default_factory=list)
 
 
 class AnomalyDetector:
@@ -321,25 +319,22 @@ class AnomalyDetector:
     def observe(self, synopsis: TaskSynopsis) -> List[AnomalyEvent]:
         """Ingest one synopsis; returns anomalies from any closed windows.
 
-        Classifies what the wire carries: the start in whole ms and the
-        duration in whole µs, clamped at 2**31-1, against the compiled
-        rule table, so a synopsis counts exactly as it would through
-        :meth:`observe_frame` once encoded.  Raises ``ValueError`` for a
-        uid or start time the wire cannot carry, as
-        :func:`~repro.core.synopsis.encode_fields` does.
+        Classifies what the wire carries (:func:`~repro.core.synopsis.wire_header`:
+        the start in whole ms, the duration in whole µs) against the
+        compiled rule table, so a synopsis counts exactly as it would
+        through :meth:`observe_frame` once encoded.  Raises ``ValueError``
+        for a header field the wire cannot carry.
         """
-        uid = synopsis.uid
-        if uid < 0 or uid > MAX_UID:
-            raise ValueError(f"uid {uid} does not fit the 32-bit wire field")
-        ts_ms = int(synopsis.start_time * 1000)
-        if ts_ms < 0 or ts_ms > MAX_TS_MS:
-            raise ValueError(
-                f"start_time {synopsis.start_time} does not fit the 64-bit wire field"
-            )
-        duration_us = int(synopsis.duration * 1_000_000)
-        if duration_us > _MAX_DURATION_US:
-            duration_us = _MAX_DURATION_US
-        compiled = self.compiled_model()
+        ts_ms, duration_us = wire_header(
+            synopsis.uid, synopsis.start_time, synopsis.duration
+        )
+        compiled, model = self._compiled, self.model
+        if (
+            compiled is None
+            or compiled.model is not model
+            or compiled.generation != model.generation
+        ):
+            compiled = self.compiled_model()
         host_id, stage_id = synopsis.host_id, synopsis.stage_id
         stage_int = (host_id << 8) | stage_id if compiled.per_host else stage_id
         stage = self._wire_rules.get(stage_int) or self._stage_rules(
@@ -360,7 +355,7 @@ class AnomalyDetector:
             duration_us > cut,
             duration_us,
             ts_ms,
-            (host_id, uid) if self._tracing else None,
+            (host_id, synopsis.uid) if self._tracing else None,
         )
 
     def _observe(

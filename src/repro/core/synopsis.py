@@ -60,6 +60,26 @@ def _record(n: int) -> struct.Struct:
     return cached
 
 
+def wire_header(uid: int, start_time: float, duration: float) -> Tuple[int, int]:
+    """The wire's ``(ts_ms, duration_us)`` for a synopsis header.
+
+    The one quantization of the header fields, shared by
+    :func:`encode_fields` and :meth:`~repro.core.detector.AnomalyDetector.observe`:
+    the start is truncated to whole ms and the duration to whole µs,
+    clamped at 2**31-1.  Raises ``ValueError`` for a uid past 32 bits or
+    a start time outside the 64-bit millisecond field.  Host and stage
+    ids are not checked here: :class:`TaskSynopsis` rejects one past a
+    byte when it is built, and packing one raises ``struct.error``.
+    """
+    if uid < 0 or uid > MAX_UID:
+        raise ValueError(f"uid {uid} does not fit the 32-bit wire field")
+    ts_ms = int(start_time * 1000)
+    if ts_ms < 0 or ts_ms > MAX_TS_MS:
+        raise ValueError(f"start_time {start_time} does not fit the 64-bit wire field")
+    duration_us = int(duration * 1_000_000)
+    return ts_ms, duration_us if duration_us <= _MAX_COUNT else _MAX_COUNT
+
+
 def encode_fields(
     host_id: int,
     stage_id: int,
@@ -73,27 +93,20 @@ def encode_fields(
     The one synopsis encoder: :meth:`TaskSynopsis.encode` delegates here,
     and the tracker calls it without building a :class:`TaskSynopsis`
     when nothing downstream reads objects.  Raises ``ValueError`` for a
-    field the wire format cannot carry (more than 255 log points, a uid
-    past 32 bits, a start time outside the 64-bit millisecond field, a
-    log point id past a short); a duration or visit count past 2**31-1
-    is clamped.  ``host_id`` and ``stage_id`` are not checked here: a
-    value past a byte raises ``struct.error``.
+    field the wire format cannot carry (more than 255 log points, a
+    header field :func:`wire_header` rejects, a log point id past a
+    short); a visit count past 2**31-1 is clamped.  ``host_id`` and
+    ``stage_id`` are not checked here: a value past a byte raises
+    ``struct.error``.
     """
     n = len(log_points)
     if n > MAX_LOG_POINT_ENTRIES:
         raise ValueError(f"too many distinct log points ({n}) for one synopsis")
-    if uid < 0 or uid > MAX_UID:
-        raise ValueError(f"uid {uid} does not fit the 32-bit wire field")
-    ts_ms = int(start_time * 1000)
-    if ts_ms < 0 or ts_ms > MAX_TS_MS:
-        raise ValueError(f"start_time {start_time} does not fit the 64-bit wire field")
+    ts_ms, duration_us = wire_header(uid, start_time, duration)
     lpids = sorted(log_points)
     if n and (lpids[0] < 0 or lpids[-1] > 0xFFFF):
         bad = lpids[0] if lpids[0] < 0 else lpids[-1]
         raise ValueError(f"log point id {bad} does not fit a short")
-    duration_us = int(duration * 1_000_000)
-    if duration_us > _MAX_COUNT:
-        duration_us = _MAX_COUNT
     flat = [host_id, stage_id, uid, ts_ms, duration_us, n]
     for lpid in lpids:
         count = log_points[lpid]

@@ -264,7 +264,13 @@ class ShardedAnalyzer:
         """Route the bare encoded synopses in ``payload[offset:end]``."""
         self._check_open()
         pending = self._pending
-        counts = route_payload(payload, offset, end, self._table, pending)
+        try:
+            counts = route_payload(payload, offset, end, self._table, pending)
+        except ValueError:
+            # It appended each whole record before the truncated one:
+            # count what the buffers now hold.
+            self._pending_bytes = [sum(map(len, bucket)) for bucket in pending]
+            raise
         for shard_id, count in enumerate(counts):
             if not count:
                 continue

@@ -3,7 +3,9 @@
 The contract under test (DESIGN §13): ``observe_batch`` must produce
 **bit-identical** ordered :class:`AnomalyEvent` output to the object
 path — ``observe`` over ``decode_frame``'d synopses, the one other
-reader of the record layout — for any wire input, including exemplar
+reader of the record layout — and to the float reference
+(:class:`~tests.core.float_reference.ReferenceDetector`, verdicts from
+``OutlierModel.classify_parts``) for any wire input, including exemplar
 pins when tracing is on, error messages and partial state on truncated
 frames, and the fallbacks (tracing, guard-tripped chunks).
 
@@ -40,6 +42,8 @@ from repro.core.synopsis import (
     decode_frame,
     encode_frame,
 )
+
+from .float_reference import ReferenceDetector
 
 pytestmark = pytest.mark.columnar
 
@@ -113,10 +117,15 @@ def model():
 
 
 def scalar_run(model, stream, **kwargs):
-    detector = AnomalyDetector(model, **kwargs)
-    mid = [e for s in stream for e in detector.observe(s)]
-    tail = detector.flush()
-    return detector, mid, tail
+    """``observe`` over ``stream``, held to the float reference on the
+    same synopses."""
+    runs = []
+    for cls in (AnomalyDetector, ReferenceDetector):
+        detector = cls(model, **kwargs)
+        mid = [e for s in stream for e in detector.observe(s)]
+        runs.append((detector, mid, detector.flush()))
+    assert_equivalent(runs[1], runs[0])
+    return runs[0]
 
 
 def batch_run(model, blob, offset=0, **kwargs):
@@ -360,7 +369,8 @@ class TestCompiledModel:
 
 
 def frame_run(model, frames, **kwargs):
-    """The object path over the same bytes: decode, then ``observe`` each."""
+    """The object path over the same bytes (decode, then ``observe``
+    each), held to the float reference over the frames' records."""
     detector = AnomalyDetector(model, **kwargs)
     mid = [
         e
@@ -368,8 +378,11 @@ def frame_run(model, frames, **kwargs):
         for s in decode_frame(frame)[0]
         for e in detector.observe(s)
     ]
-    tail = detector.flush()
-    return detector, mid, tail
+    run = (detector, mid, detector.flush())
+    reference = ReferenceDetector(model, **kwargs)
+    mid = reference.observe_frames(frames)
+    assert_equivalent((reference, mid, reference.flush()), run)
+    return run
 
 
 def counters(detector):
@@ -558,25 +571,29 @@ def kernel_batches(draw):
 
 def assert_kernel_matches_record_routes(model, frames):
     """``observe_batch`` over the joined frames (the vector kernel) equals
-    ``observe_frame`` frame by frame and ``observe`` on the decoded
-    synopses, before and after the flush."""
+    ``observe_frame`` frame by frame, ``observe`` on the decoded
+    synopses and the float reference over the frames' records, before
+    and after the flush."""
     kernel, per_frame, objects = (AnomalyDetector(model) for _ in range(3))
+    reference = ReferenceDetector(model)
     mids = [
         kernel.observe_batch(b"".join(frames)),
         [e for frame in frames for e in per_frame.observe_frame(frame)],
         [e for frame in frames for s in decode_frame(frame)[0] for e in objects.observe(s)],
+        reference.observe_frames(frames),
     ]
+    others = (per_frame, objects, reference)
     tasks = sum(FRAME_HEADER.unpack_from(frame)[1] for frame in frames)
     assert kernel.registry.get("columnar_tasks").value == tasks
     assert kernel.registry.get("columnar_fallback_tasks").value == 0
-    for detector, mid in ((per_frame, mids[1]), (objects, mids[2])):
+    for detector, mid in zip(others, mids[1:]):
         assert mids[0] == mid
         assert kernel._buckets == detector._buckets
         assert kernel.tasks_seen == detector.tasks_seen == tasks
         assert detector.registry.get("columnar_tasks").value == 0
-    tails = [detector.flush() for detector in (kernel, per_frame, objects)]
-    assert tails[0] == tails[1] == tails[2]
-    assert counters(kernel) == counters(per_frame) == counters(objects)
+    tails = [detector.flush() for detector in (kernel, *others)]
+    assert all(tail == tails[0] for tail in tails)
+    assert all(counters(detector) == counters(kernel) for detector in others)
 
 
 class TestKernelLayouts:

@@ -9,7 +9,10 @@ tables through the same cache, keyed by signature.  Fed the same
 unquantized synopses, both must leave the same window buckets, emit the
 same events with the same exemplar keys, and agree on every window
 count — across retrains and model swaps between frames, which a stale
-rule cache would get wrong.
+rule cache would get wrong.  Both are also held to
+:class:`~tests.core.float_reference.ReferenceDetector`, which takes each
+verdict from the float classifier ``OutlierModel.classify_parts``
+instead of the compiled tables the two routes share.
 """
 
 import random
@@ -26,6 +29,8 @@ from repro.core.features import features_from
 from repro.core.interning import intern_signature
 from repro.core.synopsis import decode_frame, encode_frame
 from repro.tracing import Tracer
+
+from .float_reference import ReferenceDetector
 
 WINDOW_MS = 1000
 DOMINANT = (1, 2, 4, 5)
@@ -164,11 +169,11 @@ def assert_same(wire, obj, wire_events, obj_events):
 
 def replay(per_host, lateness_s, frames, tracing):
     """Feed ``frames`` encoded to a wire detector and, synopsis by
-    synopsis, to an object detector, comparing them after every frame
-    and after the flush."""
+    synopsis, to an object detector and the float reference, comparing
+    them after every frame and after the flush."""
     model, other = train(TRACE_A, per_host), train(TRACE_B, per_host)
     detectors = []
-    for _ in range(2):
+    for cls in (AnomalyDetector, AnomalyDetector, ReferenceDetector):
         tracer = None
         if tracing:
             tracer = Tracer(capacity=4096, registry=None)
@@ -176,17 +181,22 @@ def replay(per_host, lateness_s, frames, tracing):
             for tasks, _, _ in frames:
                 for s in tasks:
                     tracer.finish(s, [(lp, s.start_time) for lp in sorted(s.log_points)])
-        detectors.append(AnomalyDetector(model, lateness_s=lateness_s, tracer=tracer))
-    wire, obj = detectors
+        detectors.append(cls(model, lateness_s=lateness_s, tracer=tracer))
+    wire, obj, ref = detectors
     for tasks, entry, between in frames:
         wire_events = getattr(wire, entry)(encode_frame(tasks))
         obj_events = [e for s in tasks for e in obj.observe(s)]
+        ref_events = [e for s in tasks for e in ref.observe(s)]
         assert_same(wire, obj, wire_events, obj_events)
+        assert_same(ref, obj, ref_events, obj_events)
         if between == "retrain":
             wire.model.train_features(RETRAIN)
         elif between == "swap":
-            wire.model = obj.model = other if wire.model is model else model
-    assert_same(wire, obj, wire.flush(), obj.flush())
+            wire.model = obj.model = ref.model = other if wire.model is model else model
+    ref_events = ref.flush()
+    obj_events = obj.flush()
+    assert_same(wire, obj, wire.flush(), obj_events)
+    assert_same(ref, obj, ref_events, obj_events)
     assert wire.registry.get("detector_windows_open").value == 0
 
 
@@ -234,7 +244,7 @@ def test_trained_signature_without_an_id_is_not_novel(monkeypatch):
     # The id space filled up before a retrain introduced a signature:
     # the recompile has no table row for it, yet it is trained.
     model = train(TRACE_A, per_host=True)
-    wire, obj = AnomalyDetector(model), AnomalyDetector(model)
+    wire, obj, ref = AnomalyDetector(model), AnomalyDetector(model), ReferenceDetector(model)
     space = wire.compiled_model().space
     monkeypatch.setattr(interning, "MAX_SIGNATURE_IDS", len(space) + 1)
     space.id_of(frozenset({99}))
@@ -246,8 +256,9 @@ def test_trained_signature_without_an_id_is_not_novel(monkeypatch):
     wire_events = wire.observe_frame(frame)
     obj_events = [e for s in decode_frame(frame)[0] for e in obj.observe(s)]
     assert_same(wire, obj, wire_events, obj_events)
+    assert_same(ref, obj, ref.observe_frames([frame]), obj_events)
     assert wire._buckets and not any(b.new_signatures for b in wire._buckets.values())
-    assert wire.flush() == obj.flush()
+    assert wire.flush() == obj.flush() == ref.flush()
 
 
 @pytest.mark.parametrize("entry", ["observe", "observe_frame"])

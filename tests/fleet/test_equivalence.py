@@ -4,6 +4,8 @@ The acceptance bar for DESIGN.md §16: the order-normalized event set a
 fleet emits is identical to a single-process detector's — in steady
 state, with a node joining mid-stream, and with a node crashing
 mid-stream (open windows rebuilt at new owners from retained replay).
+The single-process events are themselves held to the float reference
+(:class:`~tests.core.float_reference.ReferenceDetector`).
 """
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from repro.core import AnomalyDetector
 from repro.fleet import AnalyzerFleet
 from repro.shard.coordinator import EVENT_ORDER
+from tests.core.float_reference import ReferenceDetector
 
 pytestmark = pytest.mark.fleet
 
@@ -20,12 +23,15 @@ def expected(model):
     from tests.shard.conftest import make_trace
 
     trace = make_trace(3000, seed=13, faults=True, uid_base=10_000)
-    single = AnomalyDetector(model)
+    single, reference = AnomalyDetector(model), ReferenceDetector(model)
     for synopsis in trace:
         single.observe(synopsis)
+        reference.observe(synopsis)
     single.flush()
+    reference.flush()
     events = sorted(single.anomalies, key=EVENT_ORDER)
     assert events, "workload must produce anomalies for the comparison to bite"
+    assert sorted(reference.anomalies, key=EVENT_ORDER) == events
     return events
 
 

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from repro.core.synopsis import encode_frame
+from repro.core.columnar import route_payload
+from repro.core.synopsis import FRAME_HEADER, encode_batch, encode_frame
 from repro.shard import ShardWorkerError, ShardedAnalyzer
 from repro.telemetry import MetricsRegistry
 from repro.tracing import Tracer, TaskTrace
@@ -122,6 +123,43 @@ class TestAccounting:
             )
             pool.close()
         assert sent() == ({0: 3, 1: 3, 2: 3}, {0: 166358, 1: 160321, 2: 160321})
+
+    def test_a_truncated_record_still_counts_toward_the_watermark(self, model):
+        # route_payload appends each whole record of a frame before it
+        # meets a truncated one: those bytes sit in the shard buffers,
+        # count toward the watermark, and ship at the next dispatch that
+        # reaches it, as every other routed byte does.
+        trace = make_trace(400, seed=17, uid_base=50_000)
+        whole = encode_batch(trace)
+        payload = whole + trace[0].encode()[:10]
+        bad = FRAME_HEADER.pack(len(payload), len(trace) + 1) + payload
+        good = encode_frame(trace[:30])
+        registry = MetricsRegistry()
+
+        def sent():
+            families = _families(registry)
+            return [
+                {
+                    int(sample["labels"]["shard"]): int(sample["value"])
+                    for sample in families[name]["samples"]
+                }
+                for name in ("shard_frames_dispatched", "shard_bytes_dispatched")
+            ]
+
+        with ShardedAnalyzer(model, 3, registry=registry) as pool:
+            table, buckets = pool.ring.index_table(), [[], [], []]
+            for _ in range(14):
+                route_payload(whole, 0, len(whole), table, buckets)
+            route_payload(good, FRAME_HEADER.size, len(good), table, buckets)
+            held = [sum(map(len, bucket)) for bucket in buckets]
+            assert min(held) >= 1 << 16
+            for _ in range(14):
+                with pytest.raises(ValueError, match="truncated synopsis header"):
+                    pool.dispatch_frame(bad)
+            assert sent() == [{}, {}]
+            pool.dispatch_frame(good)
+            assert sent() == [{0: 1, 1: 1, 2: 1}, dict(enumerate(held))]
+            pool.close()
 
     def test_aggregate_telemetry_sums_worker_counters(self, model, detect_trace):
         with ShardedAnalyzer(model, 3) as pool:

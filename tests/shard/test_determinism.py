@@ -12,17 +12,24 @@ import pytest
 from repro.core import AnomalyDetector
 from repro.shard import EVENT_ORDER, ShardedAnalyzer
 
+from tests.core.float_reference import ReferenceDetector
+
 from .conftest import make_trace
 
 pytestmark = pytest.mark.shard
 
 
 def _single_process_events(model, trace):
-    detector = AnomalyDetector(model)
+    """``observe`` over ``trace``, held to the float reference."""
+    detector, reference = AnomalyDetector(model), ReferenceDetector(model)
     for synopsis in trace:
         detector.observe(synopsis)
+        reference.observe(synopsis)
     detector.flush()
-    return sorted(detector.anomalies, key=EVENT_ORDER)
+    reference.flush()
+    events = sorted(detector.anomalies, key=EVENT_ORDER)
+    assert sorted(reference.anomalies, key=EVENT_ORDER) == events
+    return events
 
 
 @pytest.mark.parametrize("shards", [1, 4])
