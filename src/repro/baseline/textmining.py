@@ -56,14 +56,6 @@ class ReverseMatcher:
         self.lines_unmatched += 1
         return None
 
-    def match_line(self, line: str) -> Optional[int]:
-        """Match a full rendered log line (layout prefix + message)."""
-        message = extract_message(line)
-        if message is None:
-            self.lines_unmatched += 1
-            return None
-        return self.match(message)
-
 
 _LINE_RE = re.compile(
     r"^\s*\S+ \[(?P<thread>[^\]]*)\] (?P<level>\w+)\s+(?P<logger>\S+) - (?P<msg>.*)$"

@@ -63,9 +63,6 @@ class CassandraCluster:
     def node_list(self) -> List[CassandraNode]:
         return list(self.nodes.values())
 
-    def alive_nodes(self) -> List[CassandraNode]:
-        return [n for n in self.node_list if n.alive]
-
     def fault_schedule_for(self, host_name: str) -> FaultSchedule:
         """A fault schedule bound to one host's injector."""
         return FaultSchedule(self.env, self.sim_cluster[host_name].fault_injector)

@@ -510,46 +510,66 @@ def decode_columns(
     return FrameColumns(sig_id=sig_ids, space=space, **column)
 
 
+def _window_of(ts_ms: int, width: float) -> int:
+    """The window index of a start in whole ms: the scalar mapping
+    every ingest route shares, ``int((ts_ms / 1000.0) // width)``."""
+    return int((ts_ms / 1000.0) // width)
+
+
+def _first_ms(index: int, width: float) -> int:
+    """The first integer ms that :func:`_window_of` maps to ``index`` or
+    later.  Gallops from the float estimate to a bracket, then bisects
+    with the scalar expression itself, which is monotone in ``ts_ms``."""
+    lo = hi = int(index * width * 1000)
+    step = 1
+    while _window_of(lo, width) >= index:
+        lo -= step
+        step *= 2
+    step = 1
+    while _window_of(hi, width) < index:
+        hi += step
+        step *= 2
+    while hi - lo > 1:  # _window_of(lo) < index <= _window_of(hi)
+        mid = (lo + hi) // 2
+        if _window_of(mid, width) >= index:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def window_range(ts_ms: int, width: float) -> Tuple[int, int, int]:
+    """``(index, lo, hi)``: the window of ``ts_ms`` and the exact range
+    of whole ms ``[lo, hi)`` that :func:`_window_of` maps to it, so a
+    range test stands in for the float expression bit-for-bit."""
+    index = _window_of(ts_ms, width)
+    return index, _first_ms(index, width), _first_ms(index + 1, width)
+
+
 def window_boundaries(
     ts_lo: int, ts_hi: int, width: float, max_windows: int = 4096
 ) -> Optional[Tuple[int, List[int]]]:
     """Exact integer-ms window boundaries covering ``[ts_lo, ts_hi]``.
 
     The scalar path maps a task to its window with float math —
-    ``int((ts_ms / 1000.0) // width)`` — and the batch path must agree
-    bit-for-bit.  Rather than trusting vectorized float semantics, the
-    mapping is reduced to integer comparisons: because it is monotone
-    in ``ts_ms``, each window index has a first integer millisecond,
-    found here by bisection *using the scalar expression itself*.
-    Returns ``(first_index, boundaries)`` where ``boundaries[j]`` is
-    the first ``ts_ms`` of window ``first_index + 1 + j``; a
-    searchsorted against them reproduces the scalar mapping exactly.
+    :func:`_window_of` — and the batch path must agree bit-for-bit.
+    Rather than trusting vectorized float semantics, the mapping is
+    reduced to integer comparisons: because it is monotone in
+    ``ts_ms``, each window index has a first integer millisecond, found
+    by bisection *using the scalar expression itself*.  Returns
+    ``(first_index, boundaries)`` where ``boundaries[j]`` is the first
+    ``ts_ms`` of window ``first_index + 1 + j``; a searchsorted against
+    them reproduces the scalar mapping exactly.
 
     Returns None when the span covers more than ``max_windows`` windows
     (callers fall back to the scalar path instead of building a huge
     table).
     """
-
-    def index_of(ts_ms: int) -> int:
-        return int((ts_ms / 1000.0) // width)
-
-    first = index_of(ts_lo)
-    last = index_of(ts_hi)
+    first = _window_of(ts_lo, width)
+    last = _window_of(ts_hi, width)
     if last - first > max_windows:
         return None
-    boundaries: List[int] = []
-    lo = ts_lo
-    for index in range(first + 1, last + 1):
-        # First integer t in (lo, ts_hi] with index_of(t) >= index.
-        hi = ts_hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if index_of(mid) >= index:
-                hi = mid
-            else:
-                lo = mid + 1
-        boundaries.append(lo)
-    return first, boundaries
+    return first, [_first_ms(index, width) for index in range(first + 1, last + 1)]
 
 
 __all__ = [
@@ -569,4 +589,5 @@ __all__ = [
     "resolve_sig_ids",
     "scan_frames",
     "window_boundaries",
+    "window_range",
 ]

@@ -14,9 +14,11 @@ closes (event time passes its end) it runs:
 Emitted :class:`AnomalyEvent` objects carry everything the reporting
 layer needs to render a human-readable root-cause hint.
 
-Hot-path notes: open windows are indexed by a min-heap of window indices,
-so each ``observe`` peeks at the earliest deadline instead of scanning
-every open bucket (closing is O(ripe · log open) amortized); per-(stage,
+Hot-path notes: an open window is keyed by one int, ``index << 16 |
+stage_int``; open windows are indexed by a min-heap of window indices,
+and the ripeness test (a peek at the earliest deadline) runs only when
+the integer watermark rises or a bucket opens, since nothing else can
+ripen a window (closing is O(ripe · log open) amortized); per-(stage,
 signature) performance baselines are memoized per model generation, and
 a model swap or a retrain starts the memo afresh.
 """
@@ -33,7 +35,12 @@ from . import columnar
 from .columnar import FLOW_OUTLIER, KNOWN, PERF_ELIGIBLE
 from .config import SAADConfig
 from .features import Signature, StageKey
-from .interning import SignatureIdSpace, canonical_tuple, signature_of_entries
+from .interning import (
+    SignatureIdSpace,
+    canonical_tuple,
+    intern_signature,
+    signature_of_entries,
+)
 from .model import OutlierModel
 from .stats import ProportionTest, proportion_exceeds_test
 from .synopsis import SYNOPSIS_ENTRY, SYNOPSIS_HEADER, TaskSynopsis, wire_header
@@ -75,6 +82,13 @@ _BATCH_TS_LIMIT = 1 << 53
 #: Window indices must leave room for the packed (index, cell) count
 #: keys to fit a signed 64-bit lane.
 _BATCH_INDEX_LIMIT = 1 << 28
+
+#: Bits below the window index in a bucket key (``index << 16 |
+#: stage_int``, stage_int = host << 8 | stage) and below the duration in
+#: a packed exemplar candidate (``duration_us << 40 | host << 32 | uid``).
+_STAGE_BITS = 16
+_TRACE_BITS = 40
+_TRACE_MASK = (1 << _TRACE_BITS) - 1
 
 
 def _wire_bytes(frames) -> bytes:
@@ -118,21 +132,33 @@ class AnomalyEvent:
         return (self.host_id, self.stage_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class _WindowBucket:
-    """Accumulator for one (stage key, window index)."""
+    """Accumulator for one (stage key, window index).
+
+    What the cyclic GC tracks: the bucket itself, and its
+    ``new_signatures`` set and exemplar lists once they exist (they are
+    created on first use: a novel signature, a traced task).  The two
+    perf-count dicts map a signature's canonical tuple of ints to an
+    int; the collector untracks such tuples, and a dict holding only
+    untracked keys and ints is never tracked, so a steady-state window
+    costs the collector one object.
+    """
 
     n: int = 0
     flow_outliers: int = 0
-    new_signatures: Set[Signature] = field(default_factory=set)
-    # signature -> [perf outliers, eligible task count]
-    perf: Dict[Signature, List[int]] = field(default_factory=dict)
-    # Exemplar candidates, tracked only when tracing is on:
-    # trace keys of new-signature tasks (first K, arrival order) ...
-    new_sig_keys: List[Tuple[int, int]] = field(default_factory=list)
-    # ... and a min-heap of (duration in whole µs, trace key) for the K
-    # slowest.
-    slow: List[Tuple[int, Tuple[int, int]]] = field(default_factory=list)
+    # canonical signature -> perf-eligible tasks, in first-seen order ...
+    perf_tasks: Dict[Tuple[int, ...], int] = field(default_factory=dict)
+    # ... and -> those past the duration cut (an entry once one is).
+    perf_outliers: Dict[Tuple[int, ...], int] = field(default_factory=dict)
+    new_signatures: Optional[Set[Signature]] = None
+    # Exemplar candidates, tracked only when tracing is on: trace keys
+    # ``host << 32 | uid`` of new-signature tasks (first K, arrival
+    # order) ...
+    new_sig_keys: Optional[List[int]] = None
+    # ... and a min-heap of ``duration_us << 40 | trace key`` for the K
+    # slowest, which orders as ``(duration_us, (host, uid))`` does.
+    slowest: Optional[List[int]] = None
 
 
 class AnomalyDetector:
@@ -205,26 +231,31 @@ class AnomalyDetector:
             raise ValueError(f"exemplars_per_window must be >= 0: {exemplars_per_window}")
         self.exemplars_per_window = exemplars_per_window
         self._on_event = on_event
-        self._buckets: Dict[Tuple[StageKey, int], _WindowBucket] = {}
+        # Open windows by bucket key ``index << 16 | stage_int``.
+        self._buckets: Dict[int, _WindowBucket] = {}
         # Ripeness index: min-heap of open window indices plus, per index,
-        # the stage keys opened in arrival order (for deterministic close
+        # the bucket keys opened in arrival order (for deterministic close
         # order matching the insertion-ordered scan it replaces).
         self._index_heap: List[int] = []
-        self._index_keys: Dict[int, List[StageKey]] = {}
-        self._watermark = float("-inf")
+        self._index_keys: Dict[int, List[int]] = {}
+        # Highest task start in whole ms; -1 before the first task.
+        self._watermark_ms = -1
+        # The record loop's cached window: (width, lo, hi, index), every
+        # whole ms in [lo, hi) maps to ``index``.
+        self._window_span: Tuple[float, int, int, int] = (0.0, 0, 0, 0)
         self.anomalies: List[AnomalyEvent] = []
         self._tasks_seen = 0
         self._bucket_probe_count = 0
         self._windows_opened = 0
         self._windows_closed = 0
-        # (stage_key, signature) -> baseline proportion for the perf test,
-        # for the model and generation in ``_perf_baselines_of``.
-        self._perf_baselines: Dict[Tuple[StageKey, Signature], float] = {}
+        # (stage_key, canonical signature) -> baseline proportion for the
+        # perf test, for the model and generation in ``_perf_baselines_of``.
+        self._perf_baselines: Dict[Tuple[StageKey, Tuple[int, ...]], float] = {}
         self._perf_baselines_of: Optional[Tuple[OutlierModel, int]] = None
         # Read off ``_compiled`` and reset with it: the rule cache's stage
         # int -> (stage key, {signature or raw entry bytes -> (signature,
-        # flags, cut)}) and the kernel's stage|sig-id cell -> (stage key,
-        # signature, ...).
+        # flags, cut)}) and the kernel's stage|sig-id cell -> (signature,
+        # flags, cut).
         self._wire_rules: Dict[int, Tuple[StageKey, Dict[object, tuple]]] = {}
         self._cells: Dict[int, tuple] = {}
         self._wire_rule_count = 0
@@ -313,7 +344,9 @@ class AnomalyDetector:
         already finalized here (the fleet reroute protocol's retention
         horizon, DESIGN.md §16).
         """
-        return self._watermark
+        if self._watermark_ms < 0:
+            return float("-inf")
+        return self._watermark_ms / 1000.0
 
     # -- ingestion -----------------------------------------------------------
     def observe(self, synopsis: TaskSynopsis) -> List[AnomalyEvent]:
@@ -355,7 +388,7 @@ class AnomalyDetector:
             duration_us > cut,
             duration_us,
             ts_ms,
-            (host_id, synopsis.uid) if self._tracing else None,
+            host_id << 32 | synopsis.uid if self._tracing else None,
         )
 
     def _observe(
@@ -366,63 +399,77 @@ class AnomalyDetector:
         past_cut: bool,
         duration_us: int,
         ts_ms: int,
-        trace_key: Optional[Tuple[int, int]] = None,
+        trace_key: Optional[int] = None,
     ) -> List[AnomalyEvent]:
         """Count one classified task into its window bucket and close
         what it ripened.  ``flags`` are its rule's verdict bits (0 for a
         novel signature) and ``past_cut`` whether its duration is past
-        the rule's cut; ``trace_key`` is its ``(host_id, uid)`` when
-        tracing is on, else None.  The one accounting step of the object
-        and record routes."""
+        the rule's cut; ``trace_key`` is its ``host_id << 32 | uid`` when
+        tracing is on, else None.  The one-task accounting step of the
+        object route; :meth:`_observe_records` inlines the same steps."""
         self._tasks_seen += 1
         width = self.config.window_s
-        start_time = ts_ms / 1000.0
-        index = int(start_time // width)
-        bucket = self._buckets.get((stage_key, index))
-        if bucket is None:
-            bucket = self._open_bucket(stage_key, index)
+        index = int((ts_ms / 1000.0) // width)
+        key = index << _STAGE_BITS | stage_key[0] << 8 | stage_key[1]
+        bucket = self._buckets.get(key)
+        check = bucket is None
+        if check:
+            bucket = self._open_bucket(key, index)
         bucket.n += 1
         if flags & PERF_ELIGIBLE:
-            counts = bucket.perf.get(signature)
-            if counts is None:
-                counts = bucket.perf[signature] = [0, 0]
-            counts[1] += 1
+            canonical = signature.canonical
+            perf = bucket.perf_tasks
+            perf[canonical] = perf.get(canonical, 0) + 1
             if past_cut:
-                counts[0] += 1
+                perf = bucket.perf_outliers
+                perf[canonical] = perf.get(canonical, 0) + 1
         if not flags:
             bucket.flow_outliers += 1
-            bucket.new_signatures.add(signature)
+            if bucket.new_signatures is None:
+                bucket.new_signatures = {signature}
+            else:
+                bucket.new_signatures.add(signature)
         elif flags & FLOW_OUTLIER:
             bucket.flow_outliers += 1
-        if trace_key is not None:
+        if trace_key is not None and self.exemplars_per_window:
             # Exemplar candidates.  Candidate turnover is O(K log n) over
             # a window, so the steady-state cost is two comparisons.
             k = self.exemplars_per_window
-            if not flags and len(bucket.new_sig_keys) < k:
-                bucket.new_sig_keys.append(trace_key)
-            slow = bucket.slow
-            if len(slow) < k:
-                heapq.heappush(slow, (duration_us, trace_key))
-            elif slow and duration_us > slow[0][0]:
-                heapq.heapreplace(slow, (duration_us, trace_key))
-        if start_time > self._watermark:
-            self._watermark = start_time
+            if not flags:
+                if bucket.new_sig_keys is None:
+                    bucket.new_sig_keys = [trace_key]
+                elif len(bucket.new_sig_keys) < k:
+                    bucket.new_sig_keys.append(trace_key)
+            slowest = bucket.slowest
+            if slowest is None:
+                bucket.slowest = [duration_us << _TRACE_BITS | trace_key]
+            elif len(slowest) < k:
+                heapq.heappush(slowest, duration_us << _TRACE_BITS | trace_key)
+            elif duration_us > slowest[0] >> _TRACE_BITS:
+                heapq.heapreplace(slowest, duration_us << _TRACE_BITS | trace_key)
+        if ts_ms > self._watermark_ms:
+            self._watermark_ms = ts_ms
+            check = True
+        # Only a new bucket or a higher watermark can ripen a window.
         # _close_ripe_windows' own peek, inlined: the bucket above is
         # open, so the heap is not empty.
-        if (self._index_heap[0] + 1) * width <= self._watermark - self.lateness_s:
-            return self._close_ripe_windows()
-        self._bucket_probe_count += 1
+        if check:
+            if (self._index_heap[0] + 1) * width <= (
+                self._watermark_ms / 1000.0 - self.lateness_s
+            ):
+                return self._close_ripe_windows()
+            self._bucket_probe_count += 1
         return []
 
-    def _open_bucket(self, stage_key: StageKey, index: int) -> _WindowBucket:
-        """Open the (stage key, window index) bucket; call only on a miss."""
-        bucket = self._buckets[(stage_key, index)] = _WindowBucket()
+    def _open_bucket(self, key: int, index: int) -> _WindowBucket:
+        """Open the bucket ``key`` of window ``index``; call only on a miss."""
+        bucket = self._buckets[key] = _WindowBucket()
         keys = self._index_keys.get(index)
         if keys is None:
-            self._index_keys[index] = [stage_key]
+            self._index_keys[index] = [key]
             heapq.heappush(self._index_heap, index)
         else:
-            keys.append(stage_key)
+            keys.append(key)
         self._windows_opened += 1
         return bucket
 
@@ -573,7 +620,6 @@ class AnomalyDetector:
         # Count keys: (window index, stage|sig-id cell).
         keys = (idx << _CELL_BITS) | (stage_int << columnar.SIG_BITS) | sig
         duration = columnar.header_column(b, offs, "duration_us")
-        ts_sec = ts_ms / 1000.0
         lateness = self.lateness_s
         pos = 0
         triggers = 0
@@ -584,15 +630,15 @@ class AnomalyDetector:
             seg_min = np.minimum.accumulate(idx[pos:])
             if self._index_heap:
                 seg_min = np.minimum(seg_min, self._index_heap[0])
-            seg_wm = np.maximum.accumulate(ts_sec[pos:])
-            seg_wm = np.maximum(seg_wm, self._watermark)
+            seg_wm = np.maximum.accumulate(ts_ms[pos:])
+            seg_wm = np.maximum(seg_wm, self._watermark_ms)
             # Same IEEE ops as _close_ripe_windows' ripeness test, so the
             # first hit is exactly where the scalar path would close.
-            hits = np.flatnonzero((seg_min + 1) * width <= seg_wm - lateness)
+            hits = np.flatnonzero((seg_min + 1) * width <= seg_wm / 1000.0 - lateness)
             t = int(hits[0]) if hits.size else m - pos - 1
             stop = pos + t + 1
             self._apply_counts(np, keys[pos:stop], duration[pos:stop], compiled)
-            self._watermark = float(seg_wm[t])
+            self._watermark_ms = int(seg_wm[t])
             pos += t + 1
             if hits.size:
                 emitted = self._close_ripe_windows()
@@ -618,41 +664,45 @@ class AnomalyDetector:
             cells.get(cell) or self._cell_rule(compiled, cell)
             for cell in (unique_keys & ((1 << _CELL_BITS) - 1)).tolist()
         ]
-        cuts = np.array([rule[3] for rule in rules], dtype=np.int64)
+        cuts = np.array([rule[2] for rule in rules], dtype=np.int64)
         slow = np.bincount(inverse[duration > cuts[inverse]], minlength=len(rules))
         order = np.argsort(firsts)
         buckets = self._buckets
-        for j, index, count, outliers in zip(
+        for j, key, count, outliers in zip(
             order.tolist(),
-            (unique_keys[order] >> _CELL_BITS).tolist(),
+            # (index, cell) >> SIG_BITS is the bucket key index << 16 | stage_int.
+            (unique_keys[order] >> columnar.SIG_BITS).tolist(),
             counts[order].tolist(),
             slow[order].tolist(),
         ):
-            stage_key, signature, flags, _ = rules[j]
-            bucket = buckets.get((stage_key, index))
+            signature, flags, _ = rules[j]
+            bucket = buckets.get(key)
             if bucket is None:
-                bucket = self._open_bucket(stage_key, index)
+                bucket = self._open_bucket(key, key >> _STAGE_BITS)
             bucket.n += count
             if not flags & KNOWN:
                 bucket.flow_outliers += count
-                bucket.new_signatures.add(signature)
+                if bucket.new_signatures is None:
+                    bucket.new_signatures = {signature}
+                else:
+                    bucket.new_signatures.add(signature)
             else:
                 if flags & FLOW_OUTLIER:
                     bucket.flow_outliers += count
                 if flags & PERF_ELIGIBLE:
-                    perf = bucket.perf.get(signature)
-                    if perf is None:
-                        perf = bucket.perf[signature] = [0, 0]
-                    perf[1] += count
-                    perf[0] += outliers
+                    canonical = signature.canonical
+                    perf = bucket.perf_tasks
+                    perf[canonical] = perf.get(canonical, 0) + count
+                    if outliers:
+                        perf = bucket.perf_outliers
+                        perf[canonical] = perf.get(canonical, 0) + outliers
         self._tasks_seen += len(keys)
 
     def _cell_rule(self, compiled, cell: int) -> tuple:
-        """``(stage key, signature, flags, cut)`` for a cell-table miss."""
+        """``(signature, flags, cut)`` for a cell-table miss."""
         self._count_rule()
-        stage_int = cell >> columnar.SIG_BITS
         signature = compiled.space.signature_of(cell & ((1 << columnar.SIG_BITS) - 1))
-        rule = (stage_int >> 8, stage_int & 0xFF), signature, *compiled.rule(cell)
+        rule = signature, *compiled.rule(cell)
         self._cells[cell] = rule
         return rule
 
@@ -676,9 +726,12 @@ class AnomalyDetector:
 
         Unpacks each record, classifies it against the compiled verdict
         tables the vector kernel reads (through the rule cache, keyed by
-        stage and entry bytes) and funnels it through :meth:`_observe`.
-        Serves :meth:`observe_frame`, small or traced batches, and
-        guard-tripped chunks of the vector kernel.
+        stage and entry bytes) and counts it inline: :meth:`_observe`'s
+        steps, with detector state in locals, the window index read off
+        a cached exact ms range (:func:`~repro.core.columnar.window_range`)
+        and the ripeness test run only when the watermark rises or a
+        bucket opens.  Serves :meth:`observe_frame`, small or traced
+        batches, and guard-tripped chunks of the vector kernel.
         """
         if not records:
             return []
@@ -689,34 +742,95 @@ class AnomalyDetector:
         entry_size = SYNOPSIS_ENTRY.size
         cache = self._wire_rules
         per_host = compiled.per_host
-        tracing = self._tracing
-        observe = self._observe
-        for record in records:
-            host_id, stage_id, uid, ts_ms, duration_us, n = unpack_header(data, record)
-            stage_int = (host_id << 8) | stage_id if per_host else stage_id
-            stage = cache.get(stage_int) or self._stage_rules(
-                compiled, host_id, stage_id, stage_int
-            )
-            stage_key, rules = stage
-            start = record + header_size
-            entry_bytes = data[start : start + entry_size * n]
-            rule = rules.get(entry_bytes)
-            if rule is None:
-                rule = rules[entry_bytes] = self._wire_rule(
-                    compiled, stage_key, stage_int, signature_of_entries(entry_bytes)
+        k = self.exemplars_per_window if self._tracing else 0
+        buckets = self._buckets
+        heap = self._index_heap
+        width = self.config.window_s
+        lateness = self.lateness_s
+        span_width, lo, hi, current = self._window_span
+        if span_width != width:
+            lo = hi = 0
+        wm = self._watermark_ms
+        horizon = wm / 1000.0 - lateness
+        seen = probes = 0
+        try:
+            for record in records:
+                host_id, stage_id, uid, ts_ms, duration_us, n = unpack_header(data, record)
+                stage_int = (host_id << 8) | stage_id if per_host else stage_id
+                stage = cache.get(stage_int) or self._stage_rules(
+                    compiled, host_id, stage_id, stage_int
                 )
-            signature, flags, cut = rule
-            emitted = observe(
-                stage_key,
-                signature,
-                flags,
-                duration_us > cut,
-                duration_us,
-                ts_ms,
-                (host_id, uid) if tracing else None,
-            )
-            if emitted:
-                events.extend(emitted)
+                rules = stage[1]
+                start = record + header_size
+                entry_bytes = data[start : start + entry_size * n]
+                rule = rules.get(entry_bytes)
+                if rule is None:
+                    rule = rules[entry_bytes] = self._wire_rule(
+                        compiled, stage[0], stage_int, signature_of_entries(entry_bytes)
+                    )
+                signature, flags, cut = rule
+                seen += 1
+                if lo <= ts_ms < hi:
+                    index = current
+                elif ts_ms >= hi:
+                    current, lo, hi = columnar.window_range(ts_ms, width)
+                    index = current
+                else:  # late data: the scalar expression
+                    index = int((ts_ms / 1000.0) // width)
+                key = index << _STAGE_BITS | stage_int
+                bucket = buckets.get(key)
+                check = bucket is None
+                if check:
+                    bucket = self._open_bucket(key, index)
+                bucket.n += 1
+                if flags & PERF_ELIGIBLE:
+                    canonical = signature.canonical
+                    perf = bucket.perf_tasks
+                    perf[canonical] = perf.get(canonical, 0) + 1
+                    if duration_us > cut:
+                        perf = bucket.perf_outliers
+                        perf[canonical] = perf.get(canonical, 0) + 1
+                if not flags:
+                    bucket.flow_outliers += 1
+                    if bucket.new_signatures is None:
+                        bucket.new_signatures = {signature}
+                    else:
+                        bucket.new_signatures.add(signature)
+                elif flags & FLOW_OUTLIER:
+                    bucket.flow_outliers += 1
+                if k:
+                    trace_key = host_id << 32 | uid
+                    if not flags:
+                        if bucket.new_sig_keys is None:
+                            bucket.new_sig_keys = [trace_key]
+                        elif len(bucket.new_sig_keys) < k:
+                            bucket.new_sig_keys.append(trace_key)
+                    slowest = bucket.slowest
+                    if slowest is None:
+                        bucket.slowest = [duration_us << _TRACE_BITS | trace_key]
+                    elif len(slowest) < k:
+                        heapq.heappush(slowest, duration_us << _TRACE_BITS | trace_key)
+                    elif duration_us > slowest[0] >> _TRACE_BITS:
+                        heapq.heapreplace(slowest, duration_us << _TRACE_BITS | trace_key)
+                if ts_ms > wm:
+                    wm = ts_ms
+                    horizon = wm / 1000.0 - lateness
+                    check = True
+                if check:
+                    if (heap[0] + 1) * width <= horizon:
+                        self._watermark_ms = wm
+                        self._tasks_seen += seen
+                        seen = 0
+                        emitted = self._close_ripe_windows()
+                        if emitted:
+                            events.extend(emitted)
+                    else:
+                        probes += 1
+        finally:
+            self._watermark_ms = wm
+            self._tasks_seen += seen
+            self._bucket_probe_count += probes
+            self._window_span = (width, lo, hi, current)
         return events
 
     def _stage_rules(self, compiled, host_id, stage_id, stage_int) -> tuple:
@@ -747,8 +861,8 @@ class AnomalyDetector:
         """Close every open window (end of stream)."""
         emitted: List[AnomalyEvent] = []
         for index in sorted(self._index_keys):
-            for stage_key in self._index_keys[index]:
-                emitted.extend(self._close_window((stage_key, index)))
+            for key in self._index_keys[index]:
+                emitted.extend(self._close_window(key))
         self._buckets.clear()
         self._index_keys.clear()
         self._index_heap.clear()
@@ -771,21 +885,19 @@ class AnomalyDetector:
         if not stages:
             return 0
         dropped = 0
-        for bucket_key in [
-            key for key in self._buckets if key[0][1] in stages
-        ]:
-            del self._buckets[bucket_key]
-            stage_key, index = bucket_key
+        for key in [key for key in self._buckets if key & 0xFF in stages]:
+            del self._buckets[key]
+            index = key >> _STAGE_BITS
             keys = self._index_keys[index]
-            keys.remove(stage_key)
+            keys.remove(key)
             if not keys:
                 del self._index_keys[index]
             dropped += 1
         if dropped:
-            # Rebuild the ripeness heap: indices whose last stage key
-            # was disowned must not linger (an index miss would KeyError
-            # in _close_ripe_windows' pop).
-            self._index_heap = list(self._index_keys)
+            # Rebuild the ripeness heap in place: indices whose last
+            # bucket was disowned must not linger (an index miss would
+            # KeyError in _close_ripe_windows' pop).
+            self._index_heap[:] = self._index_keys
             heapq.heapify(self._index_heap)
         return dropped
 
@@ -815,7 +927,7 @@ class AnomalyDetector:
         if not heap:
             return []
         width = self.config.window_s
-        horizon = self._watermark - self.lateness_s
+        horizon = self._watermark_ms / 1000.0 - self.lateness_s
         self._bucket_probe_count += 1
         if (heap[0] + 1) * width > horizon:
             return []  # earliest open window is not ripe — nothing to scan
@@ -823,27 +935,27 @@ class AnomalyDetector:
         while heap and (heap[0] + 1) * width <= horizon:
             index = heapq.heappop(heap)
             self._bucket_probe_count += 1
-            for stage_key in self._index_keys.pop(index):
-                key = (stage_key, index)
+            for key in self._index_keys.pop(index):
                 emitted.extend(self._close_window(key))
                 del self._buckets[key]
         return emitted
 
-    def _close_window(self, key: Tuple[StageKey, int]) -> List[AnomalyEvent]:
+    def _close_window(self, key: int) -> List[AnomalyEvent]:
         self._windows_closed += 1
-        stage_key, index = key
         bucket = self._buckets[key]
+        index = key >> _STAGE_BITS
+        host_id, stage_id = key >> 8 & 0xFF, key & 0xFF
+        stage_key = (host_id, stage_id)
         width = self.config.window_s
         window_start, window_end = index * width, (index + 1) * width
         events: List[AnomalyEvent] = []
         stage_model = self.model.stage_model(stage_key)
-        host_id, stage_id = stage_key
         closed_child = self._m_closed_by_stage.get(stage_id)
         if closed_child is None:
             closed_child = self._m_windows_closed.labels(stage=str(stage_id))
             self._m_closed_by_stage[stage_id] = closed_child
         closed_child.inc()
-        self._m_close_lag.observe(max(0.0, self._watermark - window_end))
+        self._m_close_lag.observe(max(0.0, self.watermark - window_end))
         if bucket.new_signatures:
             self._m_new_signatures.inc(len(bucket.new_signatures))
         flow_baseline = stage_model.flow_outlier_share if stage_model else 0.0
@@ -871,7 +983,7 @@ class AnomalyDetector:
                     baseline=flow_baseline,
                     p_value=flow_p_value,
                     new_signatures=tuple(
-                        sorted(bucket.new_signatures, key=canonical_tuple)
+                        sorted(bucket.new_signatures or (), key=canonical_tuple)
                     ),
                 )
             )
@@ -879,22 +991,23 @@ class AnomalyDetector:
 
         # A group's eligible count never exceeds bucket.n, so a window too
         # small for the flow test skips every group here too.
-        offending: List[Signature] = []
+        offending: List[Tuple[int, ...]] = []
         worst: Optional[ProportionTest] = None
-        for signature, (outliers, eligible) in bucket.perf.items():
+        perf_outliers = bucket.perf_outliers
+        for canonical, eligible in bucket.perf_tasks.items():
             if eligible < self.config.min_window_tasks:
                 continue
-            baseline = self._perf_baseline(stage_key, stage_model, signature)
+            baseline = self._perf_baseline(stage_key, stage_model, canonical)
             test = proportion_exceeds_test(
-                outliers, eligible, baseline, self.config.alpha
+                perf_outliers.get(canonical, 0), eligible, baseline, self.config.alpha
             )
             if test.reject:
-                offending.append(signature)
+                offending.append(canonical)
                 if worst is None or test.p_value < worst.p_value:
                     worst = test
         if offending and worst is not None:
-            total_eligible = sum(counts[1] for counts in bucket.perf.values())
-            total_outliers = sum(counts[0] for counts in bucket.perf.values())
+            total_eligible = sum(bucket.perf_tasks.values())
+            total_outliers = sum(perf_outliers.values())
             events.append(
                 AnomalyEvent(
                     kind=PERFORMANCE,
@@ -906,7 +1019,7 @@ class AnomalyDetector:
                     n=total_eligible,
                     baseline=worst.baseline,
                     p_value=worst.p_value,
-                    offending_signatures=tuple(sorted(offending, key=canonical_tuple)),
+                    offending_signatures=tuple(map(intern_signature, sorted(offending))),
                 )
             )
             self._m_anomalies_perf.inc()
@@ -934,13 +1047,14 @@ class AnomalyDetector:
         was sampled out or already evicted are skipped.
         """
         exemplars = []
-        seen: Set[Tuple[int, int]] = set()
-        slowest = [key for _, key in sorted(bucket.slow, reverse=True)]
-        for trace_key in (*bucket.new_sig_keys, *slowest):
+        seen: Set[int] = set()
+        slowest = sorted(bucket.slowest or (), reverse=True)
+        for packed in (*(bucket.new_sig_keys or ()), *slowest):
+            trace_key = packed & _TRACE_MASK
             if trace_key in seen:
                 continue
             seen.add(trace_key)
-            trace = self.tracer.pin(trace_key)
+            trace = self.tracer.pin((trace_key >> 32, trace_key & 0xFFFFFFFF))
             if trace is not None:
                 exemplars.append(trace)
                 if len(exemplars) >= self.exemplars_per_window:
@@ -948,19 +1062,20 @@ class AnomalyDetector:
         return tuple(exemplars)
 
     def _perf_baseline(
-        self, stage_key: StageKey, stage_model, signature: Signature
+        self, stage_key: StageKey, stage_model, canonical: Tuple[int, ...]
     ) -> float:
-        """Memoized ``max(1 - q, trained outlier share)`` for one group."""
+        """Memoized ``max(1 - q, trained outlier share)`` for the group of
+        the signature whose canonical tuple is ``canonical``."""
         of = (self.model, self.model.generation)
         if self._perf_baselines_of != of:
             self._perf_baselines.clear()
             self._perf_baselines_of = of
-        memo_key = (stage_key, signature)
+        memo_key = (stage_key, canonical)
         baseline = self._perf_baselines.get(memo_key)
         if baseline is None:
             baseline = 1.0 - self.config.duration_percentile
             if stage_model is not None:
-                profile = stage_model.signatures.get(signature)
+                profile = stage_model.signatures.get(intern_signature(canonical))
                 if profile is not None:
                     baseline = max(baseline, profile.perf_outlier_share)
             self._perf_baselines[memo_key] = baseline

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.telemetry import MetricsRegistry
 
@@ -72,11 +72,6 @@ class StageModel:
     total_tasks: int
     signatures: Dict[Signature, SignatureProfile] = field(default_factory=dict)
     flow_outlier_share: float = 0.0
-
-    @property
-    def known_signatures(self) -> Set[Signature]:
-        """The signatures observed for this stage during training."""
-        return set(self.signatures)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ each stage; the registry maps them back to names for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class StageRegistry:
             return self._by_name[name]
         except KeyError:
             raise KeyError(f"unknown stage {name!r}") from None
-
-    def maybe_by_name(self, name: str) -> Optional[Stage]:
-        """The stage called ``name``, or None."""
-        return self._by_name.get(name)
 
     def names(self) -> List[str]:
         """Every registered stage name, in stage-id order."""

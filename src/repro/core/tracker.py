@@ -321,14 +321,6 @@ class TaskExecutionTracker:
             return None
         return self._finalize(task)
 
-    def current_stage_id(self) -> Optional[int]:
-        """Stage id of the current thread's open task, if any."""
-        slot = self._slot()
-        task = slot.get(_SLOT_KEY) if slot is not None else None
-        if task is None or task.log_points is None:
-            return None
-        return task.stage_id
-
     # -- logging interception -----------------------------------------------------
     def on_log(self, call: LogCall) -> None:
         """loglib interceptor: register one log point encounter."""

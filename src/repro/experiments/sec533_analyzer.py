@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.baseline import MapReduceJob, ReverseMatcher, extract_fields
+from repro.baseline import ReverseMatcher, extract_fields
 from repro.cassandra import CassandraCluster, ClientOp
 from repro.core import AnomalyDetector, OutlierModel, SAADConfig
 from repro.loglib import DEBUG, WARN, MemoryAppender
@@ -208,27 +208,6 @@ def run_sec533(params: Optional[Sec533Params] = None) -> Sec533Result:
         anomalies=list(detector.anomalies),
         trace_export=trace_export,
     )
-
-
-def run_mapreduce_mining(corpus, registry, workers: int = 1):
-    """The full Xu-et-al-style MapReduce job (map: parse+match, reduce:
-    per-thread event counts).  Exposed for the benchmark harness."""
-    matcher = ReverseMatcher(registry)
-
-    def map_fn(line):
-        fields = extract_fields(line)
-        if fields is None:
-            return []
-        lpid = matcher.match(fields["msg"])
-        return [] if lpid is None else [(fields["thread"], lpid)]
-
-    def reduce_fn(_thread, lpids):
-        counts = {}
-        for lpid in lpids:
-            counts[lpid] = counts.get(lpid, 0) + 1
-        return counts
-
-    return MapReduceJob(map_fn, reduce_fn, workers=workers).run(corpus)
 
 
 def main() -> None:

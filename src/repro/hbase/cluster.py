@@ -146,8 +146,5 @@ class HBaseCluster:
             schedule.add(start_s, end_s, processes)
         return schedule
 
-    def sync_cpu_pressure(self) -> None:
-        self.sim_cluster.sync_network_pressure()
-
     def run(self, until: float) -> None:
         self.env.run(until=until)

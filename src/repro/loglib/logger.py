@@ -184,9 +184,6 @@ class LoggerRepository:
         self._root_level = level
         self._invalidate_levels()
 
-    def set_root_level(self, level: int) -> None:
-        self.root_level = level
-
     def _invalidate_levels(self) -> None:
         """Drop every logger's cached effective level."""
         for logger in self._loggers.values():
@@ -194,9 +191,6 @@ class LoggerRepository:
 
     def add_appender(self, appender: Appender) -> None:
         self.appenders.append(appender)
-
-    def remove_appender(self, appender: Appender) -> None:
-        self.appenders = [a for a in self.appenders if a is not appender]
 
     def add_interceptor(self, interceptor) -> None:
         """Install a log-call interceptor (must expose ``on_log(LogCall)``)."""
@@ -206,6 +200,3 @@ class LoggerRepository:
 
     def remove_interceptor(self, interceptor) -> None:
         self.interceptors = [i for i in self.interceptors if i is not interceptor]
-
-    def logger_names(self) -> List[str]:
-        return sorted(self._loggers)

@@ -153,6 +153,3 @@ class LSMStore:
         return survivor
 
     # -- introspection -----------------------------------------------------------
-    @property
-    def total_keys_estimate(self) -> int:
-        return len(self.memtable) + sum(len(s) for s in self.sstables)

@@ -273,9 +273,3 @@ class Environment:
             if paused:
                 gc.enable()
 
-    def run_until_idle(self, max_time: Optional[float] = None) -> None:
-        """Run until no events remain, optionally bounded by ``max_time``."""
-        while self._queue and (max_time is None or self.peek() <= max_time):
-            self.step()
-        if max_time is not None and self._now < max_time and not self._queue:
-            self._now = max_time

@@ -91,9 +91,6 @@ class FaultInjector:
     def disarm(self, fault: FaultSpec) -> None:
         self._armed = [f for f in self._armed if f is not fault]
 
-    def disarm_all(self) -> None:
-        self._armed = []
-
     def on_io(self, disk_name: str, path: str, write: bool) -> IODecision:
         """Decide the fate of one I/O request on ``path``."""
         decision = IODecision()

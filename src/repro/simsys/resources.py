@@ -206,11 +206,6 @@ class Gate:
                 if waiter.callbacks is not None and not waiter.triggered:
                     waiter.succeed(True)
 
-    def force_open(self) -> None:
-        """Open regardless of nesting (recovery/restart paths)."""
-        self._closed_count = max(1, self._closed_count)
-        self.open()
-
     def wait(self, timeout: Optional[float] = None):
         """Process generator: wait until open; returns False on timeout."""
         if not self.is_closed:

@@ -1,0 +1,11 @@
+"""Hypothesis profiles for the core suite.
+
+``pytest --hypothesis-profile=ci`` runs the properties whose example
+count reads ``settings.default`` at five times their tier-1 count: the
+record route's equivalence and window properties and the vector
+kernel's layout property (the CI ``tests`` job's extra step).
+"""
+
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=500)

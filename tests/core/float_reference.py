@@ -60,5 +60,5 @@ class ReferenceDetector(AnomalyDetector):
             label.perf_outlier,
             duration_us,
             ts_ms,
-            (host_id, uid) if self._tracing else None,
+            host_id << 32 | uid if self._tracing else None,
         )

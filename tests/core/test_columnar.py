@@ -599,7 +599,7 @@ def assert_kernel_matches_record_routes(model, frames):
 class TestKernelLayouts:
     """The vector kernel's signature ids under adversarial entry layouts."""
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)
     @given(frames=kernel_batches())
     def test_kernel_matches_the_record_routes(self, model, frames):
         assert_kernel_matches_record_routes(model, frames)

@@ -15,7 +15,10 @@ verdict from the float classifier ``OutlierModel.classify_parts``
 instead of the compiled tables the two routes share.
 """
 
+import gc
+import heapq
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,8 +30,17 @@ from repro.core import interning
 from repro.core.columnar import NO_CUT
 from repro.core.features import features_from
 from repro.core.interning import intern_signature
-from repro.core.synopsis import decode_frame, encode_frame
+from repro.core.synopsis import (
+    FRAME_HEADER,
+    SYNOPSIS_ENTRY,
+    SYNOPSIS_HEADER,
+    decode_frame,
+    encode_frame,
+    wire_header,
+)
+from repro.shard import KeyPinner, ShardedAnalyzer
 from repro.tracing import Tracer
+from repro.tracing.spans import trace_from_synopsis
 
 from .float_reference import ReferenceDetector
 
@@ -208,7 +220,7 @@ def past_the_cut():
     return True, 0.0, [(tasks, "observe_frame", None)]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=settings.default.max_examples, deadline=None)
 @given(stream=streams(), tracing=st.booleans())
 @example(stream=past_the_cut(), tracing=False)
 def test_record_route_matches_object_route(stream, tracing):
@@ -292,3 +304,178 @@ def test_model_change_resets_the_performance_baselines(change, entry):
     expected = feed(fresh, tasks) + fresh.flush()
     assert [e.kind for e in expected] == ["performance"]
     assert feed(changed, tasks) + changed.flush() == expected
+
+
+def packed_frame(records):
+    """One frame of ``(host, stage, uid, ts_ms, duration_us, lps)``
+    records packed as given, so a duration can be negative (the wire's
+    one signed field), which no :class:`TaskSynopsis` holds."""
+    payload = b"".join(
+        SYNOPSIS_HEADER.pack(*header, len(lps))
+        + b"".join(SYNOPSIS_ENTRY.pack(lp, 1) for lp in lps)
+        for *header, lps in records
+    )
+    return FRAME_HEADER.pack(len(payload), len(records)) + payload
+
+
+NOVEL = SIGNATURES[4]
+
+
+def tie_stream(seed, negative):
+    """In-order records over about three windows of both trained stages:
+    durations from a few whole-µs values (some negative when
+    ``negative``) and uids from a few, so durations tie and ``(host,
+    uid)`` keys repeat; a quarter carry a never-trained signature."""
+    rng = random.Random(seed)
+    durations = (-7, -1, 0, 3, 3, 9, 9, 9) if negative else (0, 3, 3, 9, 9, 9, 12)
+    records, ts_ms = [], 0
+    for _ in range(240):
+        ts_ms += rng.choice((0, 0, 7, 40))
+        host = rng.randrange(2)
+        lps = rng.choice((DOMINANT, DOMINANT, SIGNATURES[1], NOVEL))
+        duration_us = rng.choice(durations)
+        records.append((host, TRAINED_STAGES[host], rng.randrange(6), ts_ms, duration_us, lps))
+    return records
+
+
+def exemplar_model(records, k):
+    """Each window's exemplar keys by the rule on ``(duration_us, (host,
+    uid))`` tuples: new-signature keys while fewer than K are held, a
+    K-slowest min-heap that takes a task while it holds fewer than K or
+    when its duration is strictly greater than the heap's least; pinned
+    new-signature keys first, then the slowest first, each key once."""
+    windows = {}
+    for host, stage, uid, ts_ms, duration_us, lps in records:
+        new_keys, slowest = windows.setdefault((host, stage, ts_ms // WINDOW_MS), ([], []))
+        key = (host, uid)
+        if lps == NOVEL and len(new_keys) < k:
+            new_keys.append(key)
+        if len(slowest) < k:
+            heapq.heappush(slowest, (duration_us, key))
+        elif duration_us > slowest[0][0]:
+            heapq.heapreplace(slowest, (duration_us, key))
+    return {
+        window: list(dict.fromkeys(new_keys + [key for _, key in sorted(slowest, reverse=True)]))[:k]
+        for window, (new_keys, slowest) in windows.items()
+    }
+
+
+def assert_exemplars_follow_the_model(events, records, k):
+    pins = exemplar_model(records, k)
+    flagged = {(h, s, ts // WINDOW_MS) for h, s, _, ts, _, lps in records if lps == NOVEL}
+    windows = {(e.host_id, e.stage_id, int(e.window_start // 1.0)) for e in events}
+    assert flagged <= windows
+    for event in events:
+        window = (event.host_id, event.stage_id, int(event.window_start // 1.0))
+        keys = [t if isinstance(t, tuple) else (t.host_id, t.uid) for t in event.exemplars]
+        assert keys == pins[window], window
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("negative", [False, True])
+def test_exemplars_under_ties_on_the_record_route(k, seed, negative):
+    records = tie_stream(seed, negative)
+    detector = AnomalyDetector(train(TRACE_A, True), tracer=KeyPinner(), exemplars_per_window=k)
+    events = []
+    for lo in range(0, len(records), 64):
+        events += detector.observe_frame(packed_frame(records[lo : lo + 64]))
+    assert_exemplars_follow_the_model(events + detector.flush(), records, k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exemplars_under_ties_on_observe(k, seed):
+    # A synopsis cannot hold a negative duration.  The model reads what
+    # observe() counts: the wire's quantization of each synopsis.
+    synopses = decode_frame(packed_frame(tie_stream(seed, negative=False)))[0]
+    records = [
+        (s.host_id, s.stage_id, s.uid, *wire_header(s.uid, s.start_time, s.duration), tuple(sorted(s.log_points)))
+        for s in synopses
+    ]
+    detector = AnomalyDetector(train(TRACE_A, True), tracer=KeyPinner(), exemplars_per_window=k)
+    events = [e for s in synopses for e in detector.observe(s)]
+    assert_exemplars_follow_the_model(events + detector.flush(), records, k)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_exemplars_under_ties_on_a_two_shard_pool(k):
+    # Workers track candidates with a KeyPinner; the coordinator pins
+    # the keys against this tracer, which holds every (host, uid).
+    records = tie_stream(4, negative=True)
+    tracer = Tracer(capacity=4096, registry=None)
+    for host, stage, uid in {(h, s, u) for h, s, u, *_ in records}:
+        tracer.record(trace_from_synopsis(synopsis(host, stage, uid, 0, 0, DOMINANT), []))
+    with ShardedAnalyzer(train(TRACE_A, True), 2, tracer=tracer, exemplars_per_window=k) as pool:
+        for lo in range(0, len(records), 64):
+            pool.dispatch_frame(packed_frame(records[lo : lo + 64]))
+        pool.close()
+    assert_exemplars_follow_the_model(pool.anomalies, records, k)
+
+
+# -- window state ---------------------------------------------------------------
+
+MODEL = train(TRACE_A, True)
+
+
+@settings(max_examples=settings.default.max_examples, deadline=None)
+@given(
+    width=st.sampled_from([1, 2, 30, 0.3, 2.5, 1 / 3]),
+    start=st.integers(0, 2**53 - 1),
+    steps=st.lists(
+        st.integers(0, 5000) | st.integers(-5000, 0) | st.integers(-(2**40), 2**40),
+        min_size=1,
+        max_size=80,
+    ),
+    chunk=st.integers(1, 30),
+)
+def test_record_route_window_index_is_the_scalar_one(width, start, steps, chunk):
+    # Forward steps move the cached window range, backward jumps are late
+    # data; no window closes, so every bucket ever opened is still open.
+    stamps, ts_ms = [], start
+    for step in steps:
+        ts_ms = min(max(ts_ms + step, 0), 2**53 - 1)
+        stamps.append(ts_ms)
+    config = replace(MODEL.config, window_s=width)
+    detector = AnomalyDetector(MODEL, config, lateness_s=float("inf"))
+    records = [(0, 1, uid, ts, 10_000, DOMINANT) for uid, ts in enumerate(stamps)]
+    for lo in range(0, len(records), chunk):
+        detector.observe_frame(packed_frame(records[lo : lo + chunk]))
+    opened = {key >> 16 for key in detector._buckets}
+    assert opened == {int((ts / 1000.0) // width) for ts in stamps}
+    assert detector.watermark == max(stamps) / 1000.0
+
+
+def test_open_windows_hold_few_gc_tracked_objects():
+    # Known signatures on both sides of their cuts, four stage keys:
+    # opening a window may add its bucket and one container, a window
+    # index its list of bucket keys; counting into open windows, nothing.
+    cuts = [c for (per_host, _, _), cs in CUTS.items() if per_host for c in cs]
+    durations = [min(cuts) - 1, max(cuts) + 1, 10_000]
+    stages = [(host, stage) for host in (0, 1) for stage in TRAINED_STAGES]
+
+    def frame(indices, uid):
+        return packed_frame(
+            [
+                (host, stage, uid + n, index * WINDOW_MS + n, durations[n % 3], lps)
+                for index in indices
+                for n, ((host, stage), lps) in enumerate(
+                    (key, lps) for key in stages for lps in SIGNATURES[:3]
+                )
+            ]
+        )
+
+    detector = AnomalyDetector(MODEL, lateness_s=float("inf"))
+    detector.observe_frame(frame([0], 0))  # warm the compile and the rule cache
+    windows = [1, 2, 3, 4]
+    gc.collect()
+    before = len(gc.get_objects())
+    detector.observe_frame(frame(windows, 100))
+    gc.collect()
+    opened = len(gc.get_objects())
+    assert len(detector._buckets) == len(stages) * (len(windows) + 1)
+    assert opened - before <= 2 * len(stages) * len(windows) + len(windows)
+    for uid in range(200, 1000, 100):
+        detector.observe_frame(frame(windows, uid))
+    gc.collect()
+    assert len(gc.get_objects()) <= opened
