@@ -36,7 +36,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from repro.telemetry import MetricsRegistry
 
 from .config import SAADConfig
-from .features import FeatureVector, Signature, StageKey, features_from
+from .features import FeatureVector, Signature, StageKey
 from .interning import InternedSignature, intern_signature
 from .stats import kfold_splits, percentile_sorted
 from .synopsis import TaskSynopsis
@@ -169,16 +169,24 @@ class OutlierModel:
 
     # -- training ---------------------------------------------------------------
     def train(self, synopses: Iterable[TaskSynopsis]) -> "OutlierModel":
-        """Build the model from a fault-free training trace."""
-        return self.train_features(features_from(synopses))
+        """Build the model from a fault-free training trace.
 
-    def train_features(self, features: List[FeatureVector]) -> "OutlierModel":
-        """Build the model from already-extracted feature vectors."""
+        Each synopsis is vectorized as training reaches it, so no list
+        of per-task feature vectors is built beside the trace.
+        """
+        return self.train_features(map(FeatureVector.from_synopsis, synopses))
+
+    def train_features(self, features: Iterable[FeatureVector]) -> "OutlierModel":
+        """Build the model from feature vectors (any iterable, read once).
+
+        Only the per-signature duration lists are held while training.
+        """
         config = self.config
-        self._m_train_tasks.inc(len(features))
         grouped: Dict[StageKey, Dict[Signature, List[float]]] = {}
         per_host = config.per_host
+        tasks = 0
         for feature in features:
+            tasks += 1
             key = feature.stage_key if per_host else (0, feature.stage_id)
             signature = feature.signature
             if not isinstance(signature, InternedSignature):
@@ -186,6 +194,7 @@ class OutlierModel:
             grouped.setdefault(key, {}).setdefault(signature, []).append(
                 feature.duration
             )
+        self._m_train_tasks.inc(tasks)
 
         outlier_share_cutoff = 1.0 - config.flow_percentile
         for stage_key, by_signature in grouped.items():

@@ -346,16 +346,23 @@ class SAAD:
         wire-format nodes whose ``frame_sink`` is the collector's
         ``feed`` are classified straight from their bytes.  No
         :class:`TaskSynopsis` is built on the way: the collector
-        validates each frame with a structural scan and retains the
-        frame itself (decoded only if :meth:`train` or another reader
-        of ``collector.synopses`` asks), and ``observe_batch`` picks
-        its per-record or vector route from the frame's record count
-        (DESIGN §13).  The caller owns the detector's lifecycle
-        (``flush()`` at end of stream); its anomalies accumulate on
-        ``detector.anomalies``.
+        validates each frame with a structural scan and hands it on,
+        and ``observe_batch`` picks its per-record or vector route from
+        the frame's record count (DESIGN §13).
+
+        A deployment collects until it detects from the stream: this
+        call ends the collector's retention, so from here on frames go
+        to the detector and nothing is kept, and memory follows the
+        detector's open windows rather than the tasks seen.  What was
+        retained before (a training trace) stays readable through
+        ``collector.synopses`` for a later :meth:`train` until
+        ``collector.drain()`` releases it.  The caller owns the
+        detector's lifecycle (``flush()`` at end of stream); its
+        anomalies accumulate on ``detector.anomalies``.
         """
         detector = self.detector(lateness_s=lateness_s)
         self.collector.subscribe_frames(detector.observe_batch)
+        self.collector.retain = False
         return detector
 
     def shard(self, shards: Optional[int] = None, lateness_s: float = 0.0):

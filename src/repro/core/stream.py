@@ -316,6 +316,8 @@ class SynopsisCollector:
     ----------
     retain:
         Keep received synopses in memory (training-trace collection).
+        :meth:`SAAD.stream_detector <repro.core.pipeline.SAAD.stream_detector>`
+        turns it off; what was kept before stays until :meth:`drain`.
     registry:
         Telemetry registry for the ``collector_*`` metrics; defaults to
         a private :class:`~repro.telemetry.MetricsRegistry`.
@@ -328,6 +330,8 @@ class SynopsisCollector:
         # objects already.
         self._retained: List[Union[bytes, TaskSynopsis]] = []
         self._decoded = 0
+        # Synopses held in _retained, frames counted by their records.
+        self._retained_count = 0
         self.subscribers: List[Subscriber] = []
         self.frame_subscribers: List[FrameSink] = []
         self.streams: List[SynopsisStream] = []
@@ -359,6 +363,10 @@ class SynopsisCollector:
             "collector_pending_bytes",
             "bytes of an incomplete wire frame awaiting reassembly",
         ).set_function(lambda: len(self._buffer))
+        self.registry.gauge(
+            "collector_retained_synopses",
+            "synopses held for train() / collector.synopses, as frames or objects",
+        ).set_function(lambda: self._retained_count)
 
     # -- accounting (telemetry-backed, read-only) ----------------------------
     @property
@@ -441,6 +449,7 @@ class SynopsisCollector:
         self._bytes_received += synopsis.encoded_size()
         if self.retain:
             self._retained.append(synopsis)
+            self._retained_count += 1
         for subscriber in self.subscribers:
             subscriber(synopsis)
 
@@ -470,6 +479,7 @@ class SynopsisCollector:
             frame_subscriber(frame)
         if self.retain:
             self._retained.append(frame)
+            self._retained_count += len(offsets)
         if self.subscribers:
             synopses = decode_frame(frame)[0]
             for subscriber in self.subscribers:
@@ -558,5 +568,5 @@ class SynopsisCollector:
     def drain(self) -> List[TaskSynopsis]:
         """Return and clear retained synopses (retained frames decoded)."""
         drained = self.synopses
-        self._retained, self._decoded = [], 0
+        self._retained, self._decoded, self._retained_count = [], 0, 0
         return drained

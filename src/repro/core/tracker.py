@@ -62,7 +62,6 @@ class _TaskSlot:
         "start_time",
         "last_log_time",
         "log_points",
-        "visits",
         "events",
         "tasks_started",
         "tasks_completed",
@@ -77,7 +76,6 @@ class _TaskSlot:
         self.start_time = 0.0
         self.last_log_time = 0.0
         self.log_points: Optional[Dict[int, int]] = None
-        self.visits = 0
         self.events: Optional[List[Tuple[int, float]]] = None
         self.tasks_started = 0
         self.tasks_completed = 0
@@ -95,8 +93,8 @@ class TrackerStats:
     dies.  Reading a total takes a lock and sums the live threads; the
     tracker registers callback-backed telemetry counters over these
     totals, so the registry sums only at collection time (DESIGN.md
-    §10).  ``log_calls_tracked`` counts a task's visits when the task
-    finishes.
+    §10).  ``log_calls_tracked`` adds the sum of a task's log-point
+    counts when the task finishes.
     """
 
     def __init__(self) -> None:
@@ -302,7 +300,6 @@ class TaskExecutionTracker:
         task.uid = next(self._uids)
         task.start_time = task.last_log_time = self.clock()
         task.log_points = {}
-        task.visits = 0
         task.events = [] if self._traced else None
         task.tasks_started += 1
 
@@ -334,7 +331,6 @@ class TaskExecutionTracker:
             self._untracked(slot)
             return
         log_points[lpid] = log_points.get(lpid, 0) + 1
-        task.visits += 1
         task.last_log_time = call.time
         events = task.events
         if events is not None:
@@ -393,7 +389,7 @@ class TaskExecutionTracker:
                 self.host_id, task.stage_id, task.uid, task.start_time, duration, log_points
             )
         task.tasks_completed += 1
-        task.log_calls_tracked += task.visits
+        task.log_calls_tracked += sum(log_points.values())
         task.synopsis_bytes += _HEADER_SIZE + _ENTRY_SIZE * len(log_points)
         if synopsis is not None:
             if events is not None:
