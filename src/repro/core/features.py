@@ -46,7 +46,7 @@ class FeatureVector:
 
     @classmethod
     def from_synopsis(cls, synopsis: TaskSynopsis) -> "FeatureVector":
-        """Vectorize one task synopsis (signature interned by the tracker)."""
+        """Vectorize one task synopsis (its signature interns on first read)."""
         return cls(
             uid=synopsis.uid,
             host_id=synopsis.host_id,

@@ -12,10 +12,10 @@ Training is deliberately cheap — counting and percentiles:
    the signature when the average rate is far above the nominal
    ``1 - duration_percentile``.
 
-Each signature's durations are sorted **once**; the threshold, the
-outlier share, and every fold's held-out rate are derived from that one
-sorted array (the per-fold training percentile walks the sorted array
-skipping the held-out multiset instead of copying and re-sorting).
+One pass over the tasks' own fields groups the trace.  Each signature's
+durations are sorted **once** for the threshold and the outlier share;
+each fold sorts its held-out slice, walks it beside that array from the
+top for its training percentile, and bisects it for its outlier rate.
 
 At runtime the detector classifies against the profiles lowered to
 flat per-stage rule tables (:func:`repro.core.columnar.compile_model`):
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.telemetry import MetricsRegistry
 
@@ -95,38 +95,33 @@ _LABEL_NEW_SIGNATURE = TaskLabel(
 )
 
 
-def _percentile_excluding(
-    ordered: List[float], exclude: Dict[float, int], m: int, q: float
+def _fold_percentile(
+    ordered: List[float], held_out: List[float], m: int, q: float
 ) -> float:
-    """``q``-quantile of ``ordered`` minus the ``exclude`` multiset.
-
-    ``ordered`` is the full sorted duration array; ``exclude`` maps value
-    -> occurrences held out (consumed destructively); ``m`` is the size of
-    the remaining training multiset (must be >= 2).  Walks the sorted
-    array from the top, so for high quantiles it touches only the tail.
-    """
+    """``q``-quantile of ``ordered`` minus its sub-multiset ``held_out``
+    (both sorted; ``m`` >= 2 values remain), walking both from the top:
+    a high quantile touches only the two tails."""
     position = q * (m - 1)
     lower = math.floor(position)
     upper = math.ceil(position)
-    lower_value: Optional[float] = None
-    upper_value: Optional[float] = None
+    upper_value = None
+    i, j = len(ordered) - 1, len(held_out) - 1
     index = m - 1
-    for value in reversed(ordered):
-        remaining = exclude.get(value)
-        if remaining:
-            exclude[value] = remaining - 1
+    while True:
+        value = ordered[i]
+        i -= 1
+        if j >= 0 and value == held_out[j]:
+            j -= 1
             continue
         if index == upper:
             upper_value = value
         if index == lower:
-            lower_value = value
             break
         index -= 1
-    assert lower_value is not None and upper_value is not None
     if lower == upper:
-        return float(lower_value)
+        return float(value)
     weight = position - lower
-    return float(lower_value * (1.0 - weight) + upper_value * weight)
+    return float(value * (1.0 - weight) + upper_value * weight)
 
 
 class OutlierModel:
@@ -168,40 +163,46 @@ class OutlierModel:
         )
 
     # -- training ---------------------------------------------------------------
-    def train(self, synopses: Iterable[TaskSynopsis]) -> "OutlierModel":
-        """Build the model from a fault-free training trace.
+    def train(self, tasks: Iterable[TaskSynopsis | FeatureVector]) -> "OutlierModel":
+        """Build the model from a fault-free training trace: any iterable,
+        read once, of :class:`TaskSynopsis` or :class:`FeatureVector` items.
 
-        Each synopsis is vectorized as training reaches it, so no list
-        of per-task feature vectors is built beside the trace.
-        """
-        return self.train_features(map(FeatureVector.from_synopsis, synopses))
-
-    def train_features(self, features: Iterable[FeatureVector]) -> "OutlierModel":
-        """Build the model from feature vectors (any iterable, read once).
-
-        Only the per-signature duration lists are held while training.
-        """
+        Only the per-signature duration lists are held, in collection
+        order; stages and signatures keep their first-occurrence order.
+        Raises ``ValueError`` on an empty trace."""
         config = self.config
-        grouped: Dict[StageKey, Dict[Signature, List[float]]] = {}
         per_host = config.per_host
-        tasks = 0
-        for feature in features:
-            tasks += 1
-            key = feature.stage_key if per_host else (0, feature.stage_id)
-            signature = feature.signature
-            if not isinstance(signature, InternedSignature):
-                signature = intern_signature(signature)
-            grouped.setdefault(key, {}).setdefault(signature, []).append(
-                feature.duration
-            )
-        self._m_train_tasks.inc(tasks)
+        # stage id -> host id -> signature -> durations: two int-keyed
+        # levels build no key per task and alias no ids past a byte.
+        grouped: Dict[int, Dict[int, Dict[Signature, List[float]]]] = {}
+        stages: List[Tuple[StageKey, Dict[Signature, List[float]]]] = []
+        for task in tasks:
+            stage_id = task.stage_id
+            host_id = task.host_id if per_host else 0
+            by_host = grouped.get(stage_id)
+            if by_host is None:
+                by_host = grouped[stage_id] = {}
+            by_signature = by_host.get(host_id)
+            if by_signature is None:
+                by_signature = by_host[host_id] = {}
+                stages.append(((host_id, stage_id), by_signature))
+            signature = task.signature
+            durations = by_signature.get(signature)
+            if durations is None:
+                durations = by_signature[signature] = []
+            durations.append(task.duration)
+        if not stages:
+            raise ValueError("cannot train on an empty trace")
 
         outlier_share_cutoff = 1.0 - config.flow_percentile
-        for stage_key, by_signature in grouped.items():
-            total = sum(len(durations) for durations in by_signature.values())
+        for stage_key, by_signature in stages:
+            total = sum(map(len, by_signature.values()))
+            self._m_train_tasks.inc(total)
             stage_model = StageModel(stage_key=stage_key, total_tasks=total)
             flow_outlier_tasks = 0
             for signature, durations in by_signature.items():
+                if not isinstance(signature, InternedSignature):
+                    signature = intern_signature(signature)
                 share = len(durations) / total
                 is_flow_outlier = share < outlier_share_cutoff
                 if is_flow_outlier:
@@ -213,21 +214,23 @@ class OutlierModel:
                     is_flow_outlier=is_flow_outlier,
                 )
                 self._fit_duration(profile, durations)
-                self._m_signatures_ranked.inc()
                 stage_model.signatures[signature] = profile
-            stage_model.flow_outlier_share = flow_outlier_tasks / total if total else 0.0
+            self._m_signatures_ranked.inc(len(by_signature))
+            stage_model.flow_outlier_share = flow_outlier_tasks / total
             self.stages[stage_key] = stage_model
-            self._m_train_stages.inc()
+        self._m_train_stages.inc(len(stages))
         self.trained = True
         self.generation += 1
         return self
 
+    #: Feature vectors train through the same loop.
+    train_features = train
+
     def _fit_duration(self, profile: SignatureProfile, durations: List[float]) -> None:
         """Steps 2-3: percentile threshold plus k-fold stability check.
 
-        One ``sorted()`` call per signature; everything else — threshold,
-        outlier share, per-fold training percentiles — reads that array.
-        """
+        ``durations`` is in collection order; it is sorted once, and each
+        fold's held-out slice once."""
         config = self.config
         n = len(durations)
         if n < config.min_signature_samples:
@@ -246,22 +249,18 @@ class OutlierModel:
         # (m(1-q) + 1) / (m + 1)  — the order-statistic correction that
         # matters at small m.  Discard only rates far above *that*.
         # Folds are contiguous runs of the *collection order* (so drift
-        # over the trace is what gets caught), while each fold's training
-        # percentile comes from the shared sorted array.
+        # over the trace is what gets caught); each fold's training
+        # percentile walks the shared sorted array beside the sorted fold.
         rates = []
         expected_rates = []
         for start, end in kfold_splits(n, config.kfold):
-            held_out = durations[start:end]
-            m = n - len(held_out)
-            if not held_out or m < 2:
+            m = n - (end - start)
+            if m < 2:
                 continue
-            exclude: Dict[float, int] = {}
-            for value in held_out:
-                exclude[value] = exclude.get(value, 0) + 1
-            fold_threshold = _percentile_excluding(ordered, exclude, m, q)
-            rates.append(
-                sum(1 for d in held_out if d > fold_threshold) / len(held_out)
-            )
+            held_out = sorted(durations[start:end])
+            fold_threshold = _fold_percentile(ordered, held_out, m, q)
+            above = len(held_out) - bisect_right(held_out, fold_threshold)
+            rates.append(above / len(held_out))
             expected_rates.append((m * nominal_rate + 1.0) / (m + 1.0))
         if not rates:
             return

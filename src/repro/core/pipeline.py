@@ -314,7 +314,8 @@ class SAAD:
 
     # -- analyzer -----------------------------------------------------------
     def train(self, synopses: Optional[List[TaskSynopsis]] = None) -> OutlierModel:
-        """Train the outlier model (default: everything collected so far)."""
+        """Train the outlier model (default: everything collected so far;
+        ``ValueError`` if that is nothing, as after ``collector.drain()``)."""
         trace = synopses if synopses is not None else self.collector.synopses
         self.model = OutlierModel(self.config, registry=self.registry).train(trace)
         # From here on the tracer's tail retention is model-driven: keep

@@ -3,8 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import FeatureVector, OutlierModel, SAADConfig, TaskSynopsis
+from repro.core import SAAD, FeatureVector, OutlierModel, SAADConfig, TaskSynopsis
+from repro.core.interning import InternedSignature, intern_signature
+from repro.core.persistence import model_to_json
+
+from .model_reference import ReferenceModel
 
 
 def synopsis(stage=1, host=0, uid=0, start=0.0, duration=0.01, lps=(1, 2, 3)):
@@ -113,6 +119,23 @@ class TestTraining:
         assert list(model.stages) == [(0, 1)]
         assert model.stages[(0, 1)].total_tasks == 20
 
+    @pytest.mark.parametrize("shape", [list, iter])
+    def test_empty_trace_raises(self, shape):
+        model = OutlierModel()
+        with pytest.raises(ValueError, match="empty"):
+            model.train(shape([]))
+        assert not model.trained
+        assert model.generation == 0
+        assert model.registry.get("train_tasks").value == 0
+
+    def test_deployment_with_an_empty_collector_raises(self):
+        # A drained collector, or one whose retention a stream detector
+        # ended, holds nothing to train on: no model is built from it.
+        saad = SAAD(SAADConfig())
+        with pytest.raises(ValueError, match="empty"):
+            saad.train()
+        assert saad.model is None
+
 
 class TestSingleSortFit:
     def naive_fit(self, durations, config):
@@ -156,6 +179,73 @@ class TestSingleSortFit:
         assert profile.duration_threshold == pytest.approx(threshold, rel=0, abs=0)
         assert profile.perf_outlier_share == share
         assert profile.cv_outlier_rate == pytest.approx(cv_rate, rel=0, abs=0)
+
+
+#: Durations drawn mostly from a few values, so folds and thresholds tie.
+_TIED = st.sampled_from([0.0, -0.0, 0.001, 0.002, 0.0025, 0.01, 0.01, 0.1, 1.0])
+_DURATIONS = st.one_of(_TIED, _TIED, st.floats(0.0, 2.0, allow_nan=False))
+_SIGNATURES = [(1, 2, 3), (1, 2), (4,), (), (1, 2, 3, 70000)]
+
+
+@st.composite
+def _training_runs(draw):
+    """A config, a trace, and how the trace reaches the trainer."""
+    config = SAADConfig(
+        flow_percentile=draw(st.floats(0.5, 0.99)),
+        duration_percentile=draw(
+            st.sampled_from([0.5, 0.9, 0.99, 0.999]) | st.floats(0.5, 0.999)
+        ),
+        kfold=draw(st.integers(2, 9)),
+        kfold_discard_factor=draw(st.floats(1.0, 4.0)),
+        min_signature_samples=draw(st.integers(1, 25)),
+        per_host=draw(st.booleans()),
+    )
+    features = draw(st.booleans())
+    # Feature vectors do not range-check their ids: (0, 256) and
+    # (1, 0) are two stage keys however the trainer groups them.
+    ids = st.sampled_from([0, 1, 2, 256, 257] if features else [0, 1, 2, 255])
+    keys = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=4))
+    signatures = draw(st.lists(st.sampled_from(_SIGNATURES), min_size=1, max_size=3))
+    tasks = []
+    for uid in range(draw(st.integers(1, 90))):
+        host_id, stage_id = draw(st.sampled_from(keys))
+        lps = draw(st.sampled_from(signatures))
+        duration = draw(_DURATIONS)
+        if features:
+            plain = draw(st.booleans())
+            signature = frozenset(lps) if plain else intern_signature(lps)
+            tasks.append(FeatureVector(uid, host_id, stage_id, signature, duration, 0.0))
+        else:
+            log_points = {lp: 1 for lp in lps}
+            tasks.append(TaskSynopsis(host_id, stage_id, uid, 0.0, duration, log_points))
+    return config, tasks, draw(st.sampled_from([list, iter, lambda t: (x for x in t)]))
+
+
+class TestReferenceTrainer:
+    """The trainer builds the models of the frozen reference bodies in
+    ``model_reference.py``, down to the order of stages and signatures."""
+
+    @settings(max_examples=settings.default.max_examples, deadline=None)
+    @given(_training_runs())
+    def test_same_model_as_the_reference(self, run):
+        config, tasks, shape = run
+        model = OutlierModel(config).train(shape(tasks))
+        reference = ReferenceModel(config)
+        if isinstance(tasks[0], FeatureVector):
+            reference.train_features(shape(tasks))
+        else:
+            reference.train(shape(tasks))
+        assert model_to_json(model) == model_to_json(reference)
+        # model_to_json sorts stages: their order is checked on its own.
+        assert list(model.stages) == list(reference.stages)
+        for key, stage in model.stages.items():
+            assert list(stage.signatures) == list(reference.stages[key].signatures)
+            assert all(type(sig) is InternedSignature for sig in stage.signatures)
+        assert (
+            model.registry.get("train_tasks").value
+            == reference.registry.get("train_tasks").value
+            == len(tasks)
+        )
 
 
 class TestClassification:
