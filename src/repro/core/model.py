@@ -169,7 +169,9 @@ class OutlierModel:
 
         Only the per-signature duration lists are held, in collection
         order; stages and signatures keep their first-occurrence order.
-        Raises ``ValueError`` on an empty trace."""
+        A retrain replaces the whole stage table, so a stage the new
+        trace lacks is untrained again.  Raises ``ValueError`` on an
+        empty trace, leaving the model as it was."""
         config = self.config
         per_host = config.per_host
         # stage id -> host id -> signature -> durations: two int-keyed
@@ -195,6 +197,7 @@ class OutlierModel:
             raise ValueError("cannot train on an empty trace")
 
         outlier_share_cutoff = 1.0 - config.flow_percentile
+        trained: Dict[StageKey, StageModel] = {}
         for stage_key, by_signature in stages:
             total = sum(map(len, by_signature.values()))
             self._m_train_tasks.inc(total)
@@ -217,7 +220,8 @@ class OutlierModel:
                 stage_model.signatures[signature] = profile
             self._m_signatures_ranked.inc(len(by_signature))
             stage_model.flow_outlier_share = flow_outlier_tasks / total
-            self.stages[stage_key] = stage_model
+            trained[stage_key] = stage_model
+        self.stages = trained
         self._m_train_stages.inc(len(stages))
         self.trained = True
         self.generation += 1

@@ -82,6 +82,15 @@ class NodeRuntime:
         if tracker_enabled:
             self.repository.add_interceptor(self.tracker)
         self._client = None
+        # Once per task on the instrumented thread: one dict probe
+        # resolves a stage name, and end_task is the tracker's own.
+        self._stages_by_name = saad.stages._by_name
+        #: Explicitly finalize the current thread's open task
+        #: (:meth:`TaskExecutionTracker.end_task`): returns its
+        #: :class:`TaskSynopsis` when one was built, and None when the
+        #: task went straight to the stream's wire frame or no task was
+        #: open.
+        self.end_task: Callable[[], Optional[TaskSynopsis]] = self.tracker.end_task
 
     def logger(self, name: str):
         """A named logger from this node's repository (tracker attached)."""
@@ -89,18 +98,10 @@ class NodeRuntime:
 
     def set_context(self, stage_name: str) -> None:
         """Stage delimiter by name (resolved through the shared registry)."""
-        stage = self.saad.stages.by_name(stage_name)
+        stage = self._stages_by_name.get(stage_name)
+        if stage is None:
+            stage = self.saad.stages.by_name(stage_name)
         self.tracker.set_context(stage.stage_id)
-
-    def end_task(self) -> Optional[TaskSynopsis]:
-        """Explicitly finalize the current thread's open task.
-
-        Returns its :class:`TaskSynopsis` when one was built, and None
-        when the task went straight to the stream's wire frame (a
-        ``wire_format`` stream nothing reads objects from) or no task
-        was open.
-        """
-        return self.tracker.end_task()
 
     def connect(
         self,

@@ -243,15 +243,16 @@ class SynopsisStream:
         the next frame (``wire_format`` streams only).
 
         A task whose fields do not fit the wire format (uid past 32
-        bits, negative/huge timestamp from clock skew, >255 log points)
-        is counted and dropped from the wire instead of crashing the
-        producing thread.  The encode runs outside the lock; appending,
-        accounting and any flush it triggers run under it, so frames
-        reach ``frame_sink`` one at a time, in flush order.
+        bits, negative/huge timestamp from clock skew, a NaN or infinite
+        start or duration, >255 log points) is counted and dropped from
+        the wire instead of crashing the producing thread.  The encode
+        runs outside the lock (a memoized flow packs only its header);
+        appending, accounting and any flush it triggers run under it,
+        so frames reach ``frame_sink`` one at a time, in flush order.
         """
         try:
             payload = encode_fields(host_id, stage_id, uid, start_time, duration, log_points)
-        except ValueError:
+        except (ValueError, OverflowError):
             with self._lock:
                 self._count += 1
             self._m_dropped.inc()
@@ -495,23 +496,34 @@ class SynopsisCollector:
         across calls (exactly what a socket read produces).  Complete
         frames are ingested immediately; a trailing partial frame waits
         in the reassembly buffer (``collector_pending_bytes``) for the
-        next chunk.  Returns how many synopses the frames this chunk
-        completed held.
+        next chunk.  While that buffer is empty, frames are cut straight
+        from the chunk, and a chunk that is one whole frame reaches
+        :meth:`receive_frame` uncopied.  A frame :meth:`receive_frame`
+        rejects stays buffered with everything after it.  Returns how
+        many synopses the frames this chunk completed held.
         """
-        self._buffer.extend(chunk)
-        header_size = FRAME_HEADER.size
         buffer = self._buffer
-        count = 0
-        offset = 0
-        while len(buffer) - offset >= header_size:
-            length, _ = FRAME_HEADER.unpack_from(buffer, offset)
-            stop = offset + header_size + length
-            if len(buffer) < stop:
-                break
-            count += self.receive_frame(bytes(buffer[offset:stop]))
-            offset = stop
-        if offset:
-            del buffer[:offset]
+        if buffer:
+            buffer.extend(chunk)
+            data = buffer
+        else:
+            data = chunk
+        size = len(data)
+        header_size = FRAME_HEADER.size
+        count = offset = 0
+        try:
+            while size - offset >= header_size:
+                length, _ = FRAME_HEADER.unpack_from(data, offset)
+                stop = offset + header_size + length
+                if size < stop:
+                    break
+                count += self.receive_frame(data if stop - offset == size else data[offset:stop])
+                offset = stop
+        finally:
+            if data is buffer:
+                del buffer[:offset]
+            elif offset < size:
+                buffer.extend(data[offset:])
         return count
 
     def flush(self) -> int:

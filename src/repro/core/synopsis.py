@@ -80,6 +80,17 @@ def wire_header(uid: int, start_time: float, duration: float) -> Tuple[int, int]
     return ts_ms, duration_us if duration_us <= _MAX_COUNT else _MAX_COUNT
 
 
+#: Memo of the flows :func:`encode_fields` has packed: a task's ids
+#: then counts, in its dict's order, as one flat tuple (cheaper to
+#: build and hash than the tuple of its items) -> the packed,
+#: lpid-sorted entry block.  A few flows carry nearly all tasks (paper
+#: Fig. 6), so most encodes pack only the header.  Like the intern
+#: table, it stops growing at the cap instead of evicting (threads
+#: racing past the size check may each add one more).
+MAX_MEMOIZED_FLOWS = 1 << 10
+_FLOW_BLOCKS: Dict[Tuple[int, ...], bytes] = {}
+
+
 def encode_fields(
     host_id: int,
     stage_id: int,
@@ -97,8 +108,32 @@ def encode_fields(
     header field :func:`wire_header` rejects, a log point id past a
     short); a visit count past 2**31-1 is clamped.  ``host_id`` and
     ``stage_id`` are not checked here: a value past a byte raises
-    ``struct.error``.
+    ``struct.error``.  A non-finite start or duration raises what
+    ``int()`` raises on it.
+
+    A flow already in the memo (:data:`MAX_MEMOIZED_FLOWS`) packs only
+    the header and appends the memoized entry block; any field that
+    header pack refuses goes through the checked path, so the bytes and
+    the exceptions are the same either way.  Ids and counts are ints
+    wherever this package builds them.  A bool packs as 0 or 1 on both
+    paths; an id or count of another type that equals an int (``2.0``)
+    encodes as that int once its flow is memoized, and raises
+    ``struct.error`` until then.
     """
+    key = (*log_points, *log_points.values())
+    block = _FLOW_BLOCKS.get(key)
+    if block is not None:
+        try:
+            return _HEADER.pack(
+                host_id,
+                stage_id,
+                uid,
+                int(start_time * 1000),
+                int(duration * 1_000_000),
+                len(log_points),
+            ) + block
+        except (struct.error, ValueError, OverflowError):
+            pass
     n = len(log_points)
     if n > MAX_LOG_POINT_ENTRIES:
         raise ValueError(f"too many distinct log points ({n}) for one synopsis")
@@ -112,7 +147,10 @@ def encode_fields(
         count = log_points[lpid]
         flat.append(lpid)
         flat.append(count if count <= _MAX_COUNT else _MAX_COUNT)
-    return _record(n).pack(*flat)
+    record = _record(n).pack(*flat)
+    if block is None and len(_FLOW_BLOCKS) < MAX_MEMOIZED_FLOWS:
+        _FLOW_BLOCKS[key] = record[_HEADER.size :]
+    return record
 
 
 #: Public aliases of the packed layouts for zero-copy consumers: the

@@ -153,6 +153,54 @@ class TestValidationParity:
         assert collector.pending_bytes == 0
 
 
+def _chunkings(frames):
+    """The same frames cut into chunks five ways."""
+    blob = b"".join(frames)
+    a, b, c = frames
+    return {
+        "whole": [a, b, c],
+        "several per chunk": [a + b, c],
+        "frame plus a partial tail": [a + b[:7], b[7:] + c],
+        "split mid-header": [a[:3], a[3:] + b[:4], b[4:] + c[:1], c[1:]],
+        "byte at a time": [blob[i : i + 1] for i in range(len(blob))],
+    }
+
+
+class TestFeedChunking:
+    frames = [
+        encode_frame([synopsis(uid=i) for i in range(n)]) for n in (3, 1, 5)
+    ]
+
+    def feed_all(self, chunks):
+        collector = SynopsisCollector()
+        seen = []
+        collector.subscribe_frames(seen.append)
+        returned, fed, pending = 0, 0, []
+        for chunk in chunks:
+            returned += collector.feed(chunk)
+            fed += len(chunk)
+            pending.append(fed - sum(map(len, seen)))
+            assert collector.pending_bytes == pending[-1]
+        assert all(type(frame) is bytes for frame in seen)
+        return seen, returned, collector.count, collector.frames_received, collector.pending_bytes
+
+    @pytest.mark.parametrize("layout", list(_chunkings(frames)))
+    def test_every_chunking_delivers_the_same_frames(self, layout):
+        chunks = _chunkings(self.frames)[layout]
+        assert self.feed_all(chunks) == (self.frames, 9, 9, 3, 0)
+
+    @pytest.mark.parametrize("layout", list(_chunkings(frames)))
+    def test_a_truncated_tail_still_raises_at_flush(self, layout):
+        chunks = _chunkings(self.frames)[layout]
+        collector = SynopsisCollector()
+        for chunk in chunks[:-1]:
+            collector.feed(chunk)
+        collector.feed(chunks[-1][:-1])
+        assert collector.pending_bytes > 0
+        with pytest.raises(ValueError, match="truncated frame"):
+            collector.flush()
+
+
 class TestLazyRetention:
     def test_frames_are_retained_as_bytes_until_read(self):
         collector = SynopsisCollector()

@@ -7,13 +7,15 @@ property checks the field encoder gives the same bytes, or raises the
 same ``ValueError`` message, at each wire-field boundary.
 """
 
+import math
 import struct
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SynopsisStream, TaskExecutionTracker, TaskSynopsis
-from repro.core.synopsis import encode_fields
+from repro.core.synopsis import _FLOW_BLOCKS, MAX_MEMOIZED_FLOWS, encode_fields
 from repro.loglib.record import LogCall
 
 _HEADER = struct.Struct("<BBIQiB")
@@ -102,6 +104,78 @@ def test_field_encoder_matches_the_frozen_object_encoder(
     assert outcome(synopsis.encode) == expected
 
 
+@pytest.fixture
+def empty_memo():
+    """The flow memo emptied for the test and again after it."""
+    _FLOW_BLOCKS.clear()
+    yield _FLOW_BLOCKS
+    _FLOW_BLOCKS.clear()
+
+
+def any_outcome(encode, *fields):
+    """``outcome``, an ``OverflowError`` (an infinite start) included."""
+    try:
+        return outcome(encode, *fields)
+    except OverflowError as error:
+        return ("overflow", str(error))
+
+
+def encode_twice(*fields):
+    """A miss, then a hit for any flow the miss packed."""
+    _FLOW_BLOCKS.clear()
+    miss = any_outcome(encode_fields, *fields)
+    assert len(_FLOW_BLOCKS) == (miss[0] == "bytes")
+    return miss, any_outcome(encode_fields, *fields)
+
+
+# A uid the wire refuses outranks a start int() refuses, hit or miss.
+@example(host_id=0, stage_id=0, uid=-1, start_time=math.nan, duration=0.0, log_points={1: 1})
+@example(host_id=0, stage_id=0, uid=-1, start_time=math.inf, duration=0.0, log_points={1: 1})
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(
+    host_id=st.integers(0, 255),
+    stage_id=st.integers(0, 255),
+    uid=uids,
+    start_time=st.one_of(start_times, st.sampled_from([math.nan, math.inf, -math.inf])),
+    duration=durations,
+    log_points=st.one_of(
+        st.dictionaries(
+            st.one_of(lpids, st.booleans()), st.one_of(counts, st.booleans()), max_size=8
+        ),
+        # Several ids that all fit, in any order: flows the memo holds.
+        st.dictionaries(st.integers(0, 0xFFFF), counts, min_size=2, max_size=8),
+        wide_maps,
+    ),
+)
+def test_memoized_encodes_match_the_frozen_object_encoder(
+    host_id, stage_id, uid, start_time, duration, log_points
+):
+    fields = (host_id, stage_id, uid, start_time, duration, log_points)
+    expected = any_outcome(reference_encode, *fields)
+    assert encode_twice(*fields) == (expected, expected)
+    # The flow under a header that fits, a miss and then a hit; after
+    # it, every header field of the example goes through the hit path
+    # (and its fallback).
+    fitting = (0, 0, 0, 0.0, 0.0, log_points)
+    assert encode_twice(*fitting) == (outcome(reference_encode, *fitting),) * 2
+    assert any_outcome(encode_fields, *fields) == expected
+    # The same ids with other counts are another flow.
+    recounted = (0, 0, 0, 0.0, 0.0, dict.fromkeys(log_points, 7))
+    assert outcome(encode_fields, *recounted) == outcome(reference_encode, *recounted)
+
+
+def test_the_memo_stops_growing_at_its_cap(empty_memo):
+    for lpid in range(MAX_MEMOIZED_FLOWS):
+        encode_fields(1, 2, lpid, 1.0, 0.5, {lpid: 1})
+    assert len(empty_memo) == MAX_MEMOIZED_FLOWS
+    for lpid in range(MAX_MEMOIZED_FLOWS, MAX_MEMOIZED_FLOWS + 50):
+        fields = (1, 2, lpid, 1.0, 0.5, {lpid: 3, 7: 2})
+        assert encode_fields(*fields) == encode_fields(*fields) == reference_encode(*fields)
+    assert len(empty_memo) == MAX_MEMOIZED_FLOWS
+    fields = (3, 4, 5, 2.0, 0.25, {0: 1})  # memoized before the cap: still a hit
+    assert encode_fields(*fields) == reference_encode(*fields)
+
+
 def test_named_boundaries():
     base = (3, 4, 7, 1.5, 0.25, {1: 2})
     cases = [
@@ -179,3 +253,22 @@ def test_both_routes_refuse_a_stage_id_past_a_byte_alike():
             messages.append(str(error))
         assert stream.count == 0
     assert messages == ["stage_id must fit a byte, got 300"] * 2
+
+
+def test_an_infinite_clock_reading_is_dropped_not_raised():
+    frames = []
+    stream = SynopsisStream(wire_format=True, retain=False, flush_size=1, frame_sink=frames.append)
+    now = [float("inf")]
+    tracker = TaskExecutionTracker(sink=stream.sink, clock=lambda: now[0])
+    tracker.set_context(1)
+    assert tracker.end_task() is None  # an infinite start
+    now[0] = 1.0
+    tracker.set_context(1)
+    tracker.on_log(LogCall(4, 10, "stage", float("inf")))
+    assert tracker.end_task() is None  # an infinite duration
+    assert stream.registry.get("stream_synopses_dropped").labels(host="-").value == 2
+    assert stream.count == 2 and frames == []
+    tracker.set_context(1)
+    tracker.on_log(LogCall(4, 10, "stage", 1.5))
+    tracker.end_task()
+    assert len(frames) == 1 and stream.count == 3

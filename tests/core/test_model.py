@@ -128,6 +128,17 @@ class TestTraining:
         assert model.generation == 0
         assert model.registry.get("train_tasks").value == 0
 
+    def test_retrain_replaces_the_stage_table(self):
+        model = OutlierModel().train([synopsis(stage=1, uid=i) for i in range(20)])
+        before = model.stages
+        model.train([synopsis(stage=2, uid=i) for i in range(20)])
+        assert sorted(model.stages) == [(0, 2)]
+        assert model.generation == 2
+        with pytest.raises(ValueError, match="empty"):
+            model.train([])
+        assert sorted(model.stages) == [(0, 2)] and model.generation == 2
+        assert sorted(before) == [(0, 1)]  # the old table was not edited
+
     def test_deployment_with_an_empty_collector_raises(self):
         # A drained collector, or one whose retention a stream detector
         # ended, holds nothing to train on: no model is built from it.
