@@ -47,7 +47,7 @@ import numpy as _np
 from repro.telemetry import NULL_REGISTRY
 
 from .features import StageKey
-from .interning import SignatureIdSpace
+from .interning import SignatureIdSpace, signature_of_entries
 from .model import _LABEL_NEW_SIGNATURE, OutlierModel, TaskLabel
 from .synopsis import FRAME_HEADER, HEADER_FIELDS, SYNOPSIS_ENTRY, SYNOPSIS_HEADER
 
@@ -55,6 +55,11 @@ from .synopsis import FRAME_HEADER, HEADER_FIELDS, SYNOPSIS_ENTRY, SYNOPSIS_HEAD
 KNOWN = 1
 FLOW_OUTLIER = 2
 PERF_ELIGIBLE = 4
+
+#: Ingest priorities of a wire frame (:meth:`CompiledModel.frame_priority`;
+#: the TCP edge's shedder drops the sampled class first).
+PRIORITY_SAMPLED = 0
+PRIORITY_EXEMPLAR = 1
 
 #: Sentinel cut for signatures without a finite duration threshold: no
 #: encodable (int32) wire duration exceeds it, so the comparison path
@@ -69,9 +74,10 @@ _HEADER_SIZE = SYNOPSIS_HEADER.size
 _FRAME_HEADER_SIZE = FRAME_HEADER.size
 _ENTRY_SIZE = SYNOPSIS_ENTRY.size
 
-#: The header bytes the record walkers read one at a time: the stage
-#: id, the entry count, and the top byte of the little-endian int32
-#: duration (its sign).
+#: The header bytes the record walkers read one at a time: the host
+#: and stage ids, the entry count, and the top byte of the
+#: little-endian int32 duration (its sign).
+_HOST_AT = HEADER_FIELDS["host_id"][0]
 _STAGE_AT = HEADER_FIELDS["stage_id"][0]
 _COUNT_AT = HEADER_FIELDS["n_entries"][0]
 _SIGN_AT = sum(HEADER_FIELDS["duration_us"]) - 1
@@ -203,6 +209,46 @@ class CompiledModel:
         if stage is None:
             return _LABEL_NEW_SIGNATURE
         return stage.classify(sig_id, duration_us)
+
+    def signature_rule(self, host_id: int, stage_id: int, signature) -> Tuple[int, int]:
+        """``(flags, cut)`` for ``signature`` under the stage key of
+        ``(host_id, stage_id)``: the one verdict the detector's rule
+        cache, the tracer's retention and :meth:`frame_priority` read.
+        Sig-ids are looked up, never minted: a signature without one is
+        novel, unless the id space filled up before a retrain trained
+        it, and then its profile decides."""
+        table = self.stage(host_id, stage_id)
+        if table is None:
+            return 0, NO_CUT
+        sig_id = self.space.ids.get(signature)
+        if sig_id is not None:
+            return table.rule(sig_id)
+        if self.space.full:
+            profile = self.model.stages[table.stage_key].signatures.get(signature)
+            if profile is not None:
+                return profile_rule(profile)
+        return 0, NO_CUT
+
+    def frame_priority(self, frame: bytes) -> int:
+        """The ingest priority of one wire frame, walked with
+        :func:`scan_frames` and never decoded: :data:`PRIORITY_EXEMPLAR`
+        when any record's signature is novel under its own stage key
+        (flags 0) or the strict scan fails, else :data:`PRIORITY_SAMPLED`.
+        Outliers do not raise a frame (:mod:`repro.shard.shedding` says
+        why)."""
+        offsets, _, error = scan_frames(frame, 0, strict=True)
+        if error is not None:
+            return PRIORITY_EXEMPLAR
+        for record in offsets:
+            start = record + _HEADER_SIZE
+            signature = signature_of_entries(
+                frame[start : start + _ENTRY_SIZE * frame[record + _COUNT_AT]]
+            )
+            if not self.signature_rule(
+                frame[record + _HOST_AT], frame[record + _STAGE_AT], signature
+            )[0]:
+                return PRIORITY_EXEMPLAR
+        return PRIORITY_SAMPLED
 
 
 def profile_rule(profile) -> Tuple[int, int]:
@@ -580,6 +626,8 @@ __all__ = [
     "KNOWN",
     "NO_CUT",
     "PERF_ELIGIBLE",
+    "PRIORITY_EXEMPLAR",
+    "PRIORITY_SAMPLED",
     "SIG_BITS",
     "compile_model",
     "decode_columns",

@@ -378,7 +378,7 @@ class AnomalyDetector:
         rule = rules.get(signature)
         if rule is None:
             rule = rules[signature] = self._wire_rule(
-                compiled, stage_key, stage_int, signature
+                compiled, host_id, stage_id, signature
             )
         _, flags, cut = rule
         return self._observe(
@@ -766,7 +766,7 @@ class AnomalyDetector:
                 rule = rules.get(entry_bytes)
                 if rule is None:
                     rule = rules[entry_bytes] = self._wire_rule(
-                        compiled, stage[0], stage_int, signature_of_entries(entry_bytes)
+                        compiled, host_id, stage_id, signature_of_entries(entry_bytes)
                     )
                 signature, flags, cut = rule
                 seen += 1
@@ -841,21 +841,11 @@ class AnomalyDetector:
         self._wire_rules[stage_int] = stage = (stage_key, {})
         return stage
 
-    def _wire_rule(self, compiled, stage_key, stage_int, signature) -> tuple:
-        """``(signature, flags, cut)`` for a rule-cache miss.  Sig-ids are
-        looked up, never minted: a signature without one is novel, unless
-        the id space filled up before a retrain trained it."""
+    def _wire_rule(self, compiled, host_id, stage_id, signature) -> tuple:
+        """``(signature, flags, cut)`` for a rule-cache miss, read off
+        :meth:`~repro.core.columnar.CompiledModel.signature_rule`."""
         self._count_rule()  # at the cap, the caller's stage entry goes too
-        table = compiled.stages.get(stage_int)
-        sig_id = compiled.space.ids.get(signature)
-        flags, cut = 0, columnar.NO_CUT
-        if table is not None and sig_id is not None:
-            flags, cut = table.rule(sig_id)
-        elif table is not None and compiled.space.full:
-            profile = compiled.model.stages[stage_key].signatures.get(signature)
-            if profile is not None:
-                flags, cut = columnar.profile_rule(profile)
-        return signature, flags, cut
+        return (signature, *compiled.signature_rule(host_id, stage_id, signature))
 
     def flush(self) -> List[AnomalyEvent]:
         """Close every open window (end of stream)."""

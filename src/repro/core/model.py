@@ -21,9 +21,9 @@ At runtime the detector classifies against the profiles lowered to
 flat per-stage rule tables (:func:`repro.core.columnar.compile_model`):
 an array read and one integer comparison per task, matching the paper's
 "extremely light-weight" claim.  :meth:`OutlierModel.classify_parts` is
-the float reference those tables are tested against, and the tracer's
-tail retention classifies with it; it returns per-profile cached labels,
-so it allocates nothing at steady state.
+the float reference those tables are tested against; no runtime reader
+calls it.  It returns per-profile cached labels, so it allocates nothing
+at steady state.
 """
 
 from __future__ import annotations
@@ -82,11 +82,6 @@ class TaskLabel:
     new_signature: bool
     perf_outlier: bool
     perf_eligible: bool
-
-    @property
-    def any_flow(self) -> bool:
-        """Counts toward the flow-anomaly test (rare or never-seen flow)."""
-        return self.flow_outlier or self.new_signature
 
 
 #: Shared label for tasks whose signature (or stage) was never trained.

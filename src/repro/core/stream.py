@@ -498,9 +498,11 @@ class SynopsisCollector:
         in the reassembly buffer (``collector_pending_bytes``) for the
         next chunk.  While that buffer is empty, frames are cut straight
         from the chunk, and a chunk that is one whole frame reaches
-        :meth:`receive_frame` uncopied.  A frame :meth:`receive_frame`
-        rejects stays buffered with everything after it.  Returns how
-        many synopses the frames this chunk completed held.
+        :meth:`receive_frame` uncopied.  A complete frame leaves the
+        buffer before :meth:`receive_frame` sees it, so one it rejects
+        raises once and is gone: what followed it stays buffered, and
+        the next call ingests it.  Returns how many synopses the frames
+        this chunk completed held.
         """
         buffer = self._buffer
         if buffer:
@@ -517,8 +519,8 @@ class SynopsisCollector:
                 stop = offset + header_size + length
                 if size < stop:
                     break
-                count += self.receive_frame(data if stop - offset == size else data[offset:stop])
-                offset = stop
+                start, offset = offset, stop
+                count += self.receive_frame(data if stop - start == size else data[start:stop])
         finally:
             if data is buffer:
                 del buffer[:offset]

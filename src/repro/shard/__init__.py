@@ -32,7 +32,6 @@ from .shedding import (
     PRIORITY_NAMES,
     PRIORITY_SAMPLED,
     LoadShedder,
-    SignatureNovelty,
 )
 from .worker import KeyPinner, WorkerInit, worker_main
 
@@ -47,7 +46,6 @@ __all__ = [
     "LoadShedder",
     "ShardWorkerError",
     "ShardedAnalyzer",
-    "SignatureNovelty",
     "SynopsisServer",
     "WorkerInit",
     "route_payload",

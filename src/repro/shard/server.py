@@ -789,7 +789,9 @@ class FrameClient:
     priority_fn:
         Optional ``frame -> priority`` classifier consulted when
         :meth:`send` is not given an explicit priority — e.g.
-        :meth:`~repro.shard.shedding.SignatureNovelty.frame_priority`.
+        :meth:`~repro.core.columnar.CompiledModel.frame_priority`, which
+        raises a frame only for a signature novel on its own host (not
+        for flow or performance outliers).
     adaptive:
         The :class:`AdaptiveFlush` controller to tune from ack RTTs; a
         default-configured one is built when omitted.

@@ -13,7 +13,10 @@ synopsis traffic thins every window's counts roughly uniformly and the
 proportion tests degrade gracefully.  Frames carrying *novel-signature
 or exemplar-bearing* tasks are a different matter — each may be the
 only evidence of an anomaly — so they ride a higher priority and are
-only dropped past a second, harder watermark.
+only dropped past a second, harder watermark.  Only novelty raises a
+frame: flow and performance outliers do not, since about 1 - 0.99**64,
+or 47 %, of 64-record frames hold a task past its 99th-percentile cut
+and the sampled class would empty.
 
 The ladder (see docs/OPERATIONS.md §8):
 
@@ -30,33 +33,25 @@ clients' view of the world honest.
 
 :class:`LoadShedder` makes the drop/admit decision and keeps the
 per-priority accounting (``shed_frames_dropped{priority=...}``).
-:class:`SignatureNovelty` is the sanctioned way to *assign* priorities:
-built from a trained model, it classifies a wire frame as
-exemplar-bearing when any synopsis in it carries a signature the model
-never saw in training.
+Priorities are assigned by the detector's own compiled rule table:
+:meth:`~repro.core.columnar.CompiledModel.frame_priority` makes a wire
+frame exemplar-bearing when any synopsis in it carries a signature
+novel under its own (host, stage) key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, Optional
 
-from repro.core.synopsis import decode_frame
+from repro.core.columnar import PRIORITY_EXEMPLAR, PRIORITY_SAMPLED
 from repro.telemetry import NULL_REGISTRY
 
 __all__ = [
     "LoadShedder",
-    "SignatureNovelty",
     "PRIORITY_SAMPLED",
     "PRIORITY_EXEMPLAR",
     "PRIORITY_NAMES",
 ]
-
-#: Ordinary head-sampled synopsis traffic: first to be shed.
-PRIORITY_SAMPLED = 0
-
-#: Frames carrying novel-signature / exemplar-bearing synopses: shed
-#: only past the hard watermark.
-PRIORITY_EXEMPLAR = 1
 
 #: Label values for the per-priority drop accounting.
 PRIORITY_NAMES: Dict[int, str] = {
@@ -142,49 +137,3 @@ class LoadShedder:
     def drops(self) -> Dict[str, int]:
         """Per-priority drop counts so far, keyed by priority name."""
         return dict(self._drops)
-
-
-class SignatureNovelty:
-    """Classify frames by signature novelty against a trained model.
-
-    Holds, per stage id, the set of task signatures training has seen
-    (merged across hosts — a signature that is routine *anywhere* is not
-    evidence).  :meth:`frame_priority` decodes a wire frame and returns
-    :data:`PRIORITY_EXEMPLAR` when any synopsis in it carries an unseen
-    signature, else :data:`PRIORITY_SAMPLED` — a valid ``priority_fn``
-    for :class:`~repro.shard.server.FrameClient`, which declares the
-    priority in each data envelope for the server's shedder.
-    """
-
-    def __init__(self, known: Dict[int, Set[FrozenSet[int]]]):
-        self._known = known
-
-    @classmethod
-    def from_model(cls, model) -> "SignatureNovelty":
-        """Build from a trained :class:`~repro.core.model.OutlierModel`."""
-        known: Dict[int, Set[FrozenSet[int]]] = {}
-        for (_host, stage_id), stage_model in model.stages.items():
-            known.setdefault(stage_id, set()).update(stage_model.signatures)
-        return cls(known)
-
-    def is_novel(self, synopsis) -> bool:
-        """True when ``synopsis``'s signature was never seen in training."""
-        seen = self._known.get(synopsis.stage_id)
-        return seen is None or synopsis.signature not in seen
-
-    def frame_priority(self, frame: bytes) -> int:
-        """The priority of one wire frame (header + payload bytes).
-
-        A frame that fails to decode is classified
-        :data:`PRIORITY_EXEMPLAR`: garbage on the wire is itself a
-        signal worth keeping over routine traffic, and the real decode
-        error will surface (and be counted) at the ingest sink.
-        """
-        try:
-            synopses, _ = decode_frame(frame, 0)
-        except ValueError:
-            return PRIORITY_EXEMPLAR
-        for synopsis in synopses:
-            if self.is_novel(synopsis):
-                return PRIORITY_EXEMPLAR
-        return PRIORITY_SAMPLED

@@ -120,6 +120,7 @@ def demo_deployment():
     # a batch detector, so the columnar_* ingest counters and the model
     # compiler's compile_* counters are live in this registry.
     from repro.core import AnomalyDetector
+    from repro.core.columnar import compile_model
     from repro.core.synopsis import encode_frame
 
     replay = saad.collector.synopses[trained:]
@@ -153,7 +154,6 @@ def demo_deployment():
         FrameClient,
         LoadShedder,
         ShardedAnalyzer,
-        SignatureNovelty,
         SynopsisServer,
     )
     from repro.telemetry import MetricsRegistry
@@ -168,7 +168,7 @@ def demo_deployment():
     edge.counter("tracker_tasks_started", "tasks started on the edge node").inc(42)
     edge.gauge("saad_nodes", "node runtimes on the edge deployment").set(1)
 
-    novelty = SignatureNovelty.from_model(saad.model)
+    priority_fn = compile_model(saad.model).frame_priority
     shedder = LoadShedder(1 << 20, registry=saad.registry)
     with ShardedAnalyzer(
         saad.model, 2, registry=saad.registry, tracer=saad.tracer
@@ -183,7 +183,7 @@ def demo_deployment():
             with FrameClient(
                 server.address,
                 registry=saad.registry,
-                priority_fn=novelty.frame_priority,
+                priority_fn=priority_fn,
                 node="edge-beta",
                 telemetry_source=edge,
                 telemetry_interval_s=0.0,

@@ -10,9 +10,10 @@ detector).  Admission control keeps memory bounded and exemplars alive:
   exceeds the trained percentile threshold, are *always* kept in a
   separate retained ring, so the interesting tasks survive sampling.
   Before a model is installed (:meth:`set_model`), "rare" means a
-  signature this tracer has never seen; afterwards the trained
-  classifier decides (never-trained or flow-outlier signatures, and
-  performance outliers past the per-signature duration threshold).
+  signature this tracer has never seen; afterwards the detector's
+  compiled rule decides (never-trained or flow-outlier signatures, and
+  whole-µs wire durations past the signature's integer cut), so a
+  trace is kept exactly when the detector counts its task as evidence.
 * **Pinning** — the detector pins exemplar traces onto anomaly events;
   pinned traces move to their own bounded store and are never evicted
   by ordinary traffic.
@@ -29,6 +30,8 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.columnar import FLOW_OUTLIER, compile_model
+from repro.core.synopsis import wire_header
 from repro.telemetry import MetricsRegistry
 
 from .spans import TaskTrace, TraceKey, trace_from_synopsis
@@ -114,8 +117,7 @@ class Tracer:
         self._pinned: "OrderedDict[TraceKey, TaskTrace]" = OrderedDict()
         self._sample_accum = 0.0
         self._seen_signatures: set = set()
-        self._model = None
-        self._per_host = True
+        self._compiled = None
         self._register_metrics()
 
     def _register_metrics(self) -> None:
@@ -154,17 +156,14 @@ class Tracer:
 
     # -- model hook -----------------------------------------------------------
     def set_model(self, model) -> None:
-        """Install a trained outlier model to drive tail retention.
-
-        ``model`` is duck-typed: it must offer ``classify_parts(stage_key,
-        signature, duration)`` returning a label with ``any_flow`` /
-        ``perf_outlier`` flags, and a ``config.per_host`` bool — i.e. a
-        :class:`~repro.core.model.OutlierModel`.  Pass None to fall back
+        """Install a trained :class:`~repro.core.model.OutlierModel` to
+        drive tail retention through its compiled rule table, recompiled
+        whenever the model's generation moves.  Pass None to fall back
         to pre-model novelty retention.
         """
+        compiled = compile_model(model) if model is not None else None
         with self._lock:
-            self._model = model
-            self._per_host = bool(model.config.per_host) if model is not None else True
+            self._compiled = compiled
 
     # -- producer side --------------------------------------------------------
     def finish(
@@ -173,16 +172,21 @@ class Tracer:
         """Build and admit the trace of one finished task.
 
         Called by the task execution tracker at task termination with the
-        raw ``(lpid, time)`` event list it accumulated.  Returns the
-        trace when admitted, None when sampled out.
+        raw ``(lpid, time)`` event list it accumulated.  Retention reads
+        the synopsis's own wire duration.  Returns the trace when
+        admitted, None when sampled out.
         """
         trace = trace_from_synopsis(synopsis, events)
-        return trace if self.record(trace) else None
+        return trace if self._record(trace, synopsis) else None
 
     def record(self, trace: TaskTrace) -> bool:
-        """Admit one trace through sampling/retention; True when kept."""
+        """Admit one trace through sampling/retention; True when kept.
+        Retention reads the trace's own start and duration."""
+        return self._record(trace, trace)
+
+    def _record(self, trace: TaskTrace, synopsis) -> bool:
         with self._lock:
-            if self._should_retain(trace):
+            if self._should_retain(trace, synopsis):
                 trace.retained = True
                 self.stats.traces_retained += 1
                 self._admit(self._retained, trace, self.retained_capacity)
@@ -196,16 +200,23 @@ class Tracer:
             self.stats.spans_dropped += trace.n_spans
             return False
 
-    def _should_retain(self, trace: TaskTrace) -> bool:
-        model = self._model
-        if model is not None:
-            stage_key = (
-                (trace.host_id, trace.stage_id)
-                if self._per_host
-                else (0, trace.stage_id)
+    def _should_retain(self, trace: TaskTrace, synopsis) -> bool:
+        compiled = self._compiled
+        if compiled is not None:
+            if compiled.stale:
+                compiled = self._compiled = compile_model(compiled.model)
+            flags, cut = compiled.signature_rule(
+                trace.host_id, trace.stage_id, trace.signature
             )
-            label = model.classify_parts(stage_key, trace.signature, trace.duration)
-            return label.any_flow or label.perf_outlier
+            if not flags or flags & FLOW_OUTLIER:
+                return True
+            try:
+                _, duration_us = wire_header(
+                    synopsis.uid, synopsis.start_time, synopsis.duration
+                )
+            except (ValueError, OverflowError):
+                return False  # the wire cannot carry it; no detector counts it
+            return duration_us > cut
         if trace.signature in self._seen_signatures:
             return False
         if len(self._seen_signatures) < _MAX_NOVELTY_SIGNATURES:

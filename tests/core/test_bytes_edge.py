@@ -201,6 +201,27 @@ class TestFeedChunking:
             collector.flush()
 
 
+    def test_a_rejected_frame_leaves_the_buffer(self):
+        good = encode_frame([synopsis(uid=0), synopsis(uid=1)])
+        length, count = FRAME_HEADER.unpack_from(good, 0)
+        bad = FRAME_HEADER.pack(length, count + 1) + good[FRAME_HEADER.size :]
+        collector = SynopsisCollector()
+        with pytest.raises(ValueError, match="frame count mismatch"):
+            collector.feed(bad)
+        assert collector.pending_bytes == 0
+        assert collector.feed(self.frames[0]) == 3
+        assert collector.feed(self.frames[2]) == 5
+        # A bad frame inside a chunk raises once; what follows it waits
+        # in the buffer and the next feed ingests it.
+        with pytest.raises(ValueError, match="frame count mismatch"):
+            collector.feed(self.frames[1] + bad + self.frames[0])
+        assert collector.pending_bytes == len(self.frames[0])
+        assert collector.feed(self.frames[1]) == 4
+        assert collector.count == 3 + 5 + 1 + 4
+        assert collector.pending_bytes == 0
+        assert collector.flush() == 0
+
+
 class TestLazyRetention:
     def test_frames_are_retained_as_bytes_until_read(self):
         collector = SynopsisCollector()

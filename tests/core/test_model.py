@@ -284,12 +284,12 @@ class TestClassification:
     def test_rare_signature_is_flow_outlier(self, model):
         label = model.classify(self.feature(lps=(1, 2, 3, 4, 5)))
         assert label.flow_outlier
-        assert label.any_flow
+        assert not label.new_signature
 
     def test_new_signature_detected(self, model):
         label = model.classify(self.feature(lps=(1, 2)))
         assert label.new_signature
-        assert label.any_flow
+        assert not label.flow_outlier
 
     def test_slow_task_is_perf_outlier(self, model):
         label = model.classify(self.feature(duration=10.0))

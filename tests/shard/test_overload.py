@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from repro.core import OutlierModel, SAADConfig
+from repro.core.columnar import compile_model
 from repro.core.synopsis import encode_frame
 from repro.shard import (
     PRIORITY_EXEMPLAR,
@@ -16,7 +18,6 @@ from repro.shard import (
     AdaptiveFlush,
     FrameClient,
     LoadShedder,
-    SignatureNovelty,
     SynopsisServer,
 )
 from repro.shard.server import (
@@ -145,21 +146,27 @@ class TestLoadShedder:
             LoadShedder(1000, 999)
 
 
-class TestSignatureNovelty:
+class TestFramePriority:
     def test_trained_signature_is_sampled(self, model):
-        novelty = SignatureNovelty.from_model(model)
         frame = encode_frame(make_trace(12))
-        assert novelty.frame_priority(frame) == PRIORITY_SAMPLED
+        assert compile_model(model).frame_priority(frame) == PRIORITY_SAMPLED
 
     def test_novel_signature_is_exemplar(self, model):
-        novelty = SignatureNovelty.from_model(model)
         rare = make_synopsis(1, 0, 1, 0.0, 0.01, (1, 2, 4, 65_000))
         frame = encode_frame(make_trace(6) + [rare])
-        assert novelty.frame_priority(frame) == PRIORITY_EXEMPLAR
+        assert compile_model(model).frame_priority(frame) == PRIORITY_EXEMPLAR
 
     def test_undecodable_frame_is_exemplar(self, model):
-        novelty = SignatureNovelty.from_model(model)
-        assert novelty.frame_priority(b"\xff" * 40) == PRIORITY_EXEMPLAR
+        assert compile_model(model).frame_priority(b"\xff" * 40) == PRIORITY_EXEMPLAR
+
+
+def _per_host_model():
+    """Stage 5 trained on two hosts with different routine signatures:
+    (5, 6) on host 0, (5, 7) on host 1."""
+    tasks = [
+        make_synopsis(5, i % 2, i, i * 0.05, 0.01, (5, 6 + i % 2)) for i in range(400)
+    ]
+    return OutlierModel(SAADConfig(window_s=60.0, min_window_tasks=8)).train(tasks)
 
 
 class TestBackpressure:
@@ -258,7 +265,7 @@ class TestShedding:
 
     def test_novelty_classified_frames_survive_shedding(self, model):
         registry = MetricsRegistry()
-        novelty = SignatureNovelty.from_model(model)
+        priority_fn = compile_model(model).frame_priority
         frame = encode_frame(make_trace(40))
         rare = make_synopsis(1, 0, 1, 0.0, 0.01, (1, 2, 4, 65_000))
         novel_frame = encode_frame([rare])
@@ -270,15 +277,48 @@ class TestShedding:
             high_watermark=1 << 22,
             shedder=shedder,
         )
-        with server, FrameClient(
-            server.address, priority_fn=novelty.frame_priority
-        ) as client:
+        with server, FrameClient(server.address, priority_fn=priority_fn) as client:
             for _ in range(4):
                 client.send(frame)  # routine traffic fills the backlog
             _wait_for(lambda: server.pending_bytes >= 2 * len(frame))
             for _ in range(3):
                 client.send(frame)  # classified sampled -> shed
             client.send(novel_frame)  # classified exemplar -> admitted
+            _wait_for(lambda: shedder.drops()["sampled"] >= 3)
+            gate.open.set()
+            _wait_for(lambda: novel_frame in gate.delivered)
+        assert shedder.drops()["exemplar"] == 0
+
+    def test_per_host_novelty_survives_shedding(self):
+        """A signature routine on host 0 is novel on host 1, where the
+        detector keys it by (host, stage): its frame must ride the
+        exemplar class through a shed that drops sampled frames."""
+        registry = MetricsRegistry()
+        priority_fn = compile_model(_per_host_model()).frame_priority
+        routine = [
+            make_synopsis(5, i % 2, 10_000 + i, 30.0 + i * 0.05, 0.01, (5, 6 + i % 2))
+            for i in range(40)
+        ]
+        frame = encode_frame(routine)
+        crossed = make_synopsis(5, 1, 20_000, 33.0, 0.01, (5, 6))
+        novel_frame = encode_frame(routine[:-1] + [crossed])
+        assert priority_fn(frame) == PRIORITY_SAMPLED
+        assert priority_fn(novel_frame) == PRIORITY_EXEMPLAR
+        gate = _Gate()
+        shedder = LoadShedder(2 * len(frame), 1 << 22, registry=registry)
+        server = SynopsisServer(
+            gate.sink,
+            registry=registry,
+            high_watermark=1 << 22,
+            shedder=shedder,
+        )
+        with server, FrameClient(server.address, priority_fn=priority_fn) as client:
+            for _ in range(4):
+                client.send(frame)
+            _wait_for(lambda: server.pending_bytes >= 2 * len(frame))
+            for _ in range(3):
+                client.send(frame)
+            client.send(novel_frame)
             _wait_for(lambda: shedder.drops()["sampled"] >= 3)
             gate.open.set()
             _wait_for(lambda: novel_frame in gate.delivered)

@@ -154,9 +154,9 @@ class TestFacadeWiring:
         saad, node, log, lps, clock = build_deployment()
         for i in range(60):
             run_task(node, log, lps, clock, float(i))
-        assert saad.tracer._model is None
+        assert saad.tracer._compiled is None
         saad.train()
-        assert saad.tracer._model is saad.model
+        assert saad.tracer._compiled.model is saad.model
 
     def test_tracer_metrics_share_deployment_registry(self):
         saad, node, log, lps, clock = build_deployment()

@@ -1,9 +1,14 @@
 """Tracer admission control: rings, sampling, retention, pinning."""
 
+import math
+import random
 import threading
 
 import pytest
 
+from repro.core import OutlierModel, SAADConfig, TaskSynopsis
+from repro.core.columnar import exact_duration_cut
+from repro.core.synopsis import wire_header
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 from repro.tracing import (
     NULL_TRACER,
@@ -25,6 +30,33 @@ def make_trace(uid, host_id=0, start=0.0, duration=1.0, signature=frozenset({1, 
                      events=events)
     return TaskTrace(host_id=host_id, uid=uid, start_time=start,
                      end_time=start + duration, spans=(span,), signature=signature)
+
+
+ROUTINE = frozenset({1, 2})
+RARE = frozenset({1, 2, 99})
+
+
+def training(rare_every=250):
+    """Stage 3 on host 0: ``ROUTINE`` at ~2 ms, and ``RARE`` once every
+    ``rare_every`` tasks (a flow outlier at the default 250)."""
+    rng = random.Random(5)
+    return [
+        TaskSynopsis(
+            0, 3, i, i * 0.01, 0.002 * rng.lognormvariate(0, 0.3),
+            {lp: 1 for lp in (RARE if i % rare_every == 0 else ROUTINE)},
+        )
+        for i in range(2000)
+    ]
+
+
+def trained_model():
+    return OutlierModel(SAADConfig()).train(training())
+
+
+def finish(tracer, uid, duration, signature=ROUTINE):
+    """Hand the tracer one finished stage-3 task on host 0."""
+    synopsis = TaskSynopsis(0, 3, uid, 100.0, duration, {lp: 1 for lp in signature})
+    return tracer.finish(synopsis, [(lp, 100.0) for lp in sorted(signature)])
 
 
 class TestAdmission:
@@ -84,26 +116,45 @@ class TestRetention:
         assert all(trace.retained for trace in tracer.traces())
 
     def test_model_drives_retention_after_set_model(self):
-        class Label:
-            def __init__(self, flow, perf):
-                self.any_flow = flow
-                self.perf_outlier = perf
-
-        class Config:
-            per_host = True
-
-        class Model:
-            config = Config()
-
-            def classify_parts(self, stage_key, signature, duration):
-                return Label(flow=99 in signature, perf=duration > 10.0)
-
         tracer = Tracer(sample_rate=0.0, registry=NULL_REGISTRY)
-        tracer.set_model(Model())
-        assert not tracer.record(make_trace(0, signature=frozenset({1})))
-        assert tracer.record(make_trace(1, signature=frozenset({99})))  # flow
-        assert tracer.record(make_trace(2, duration=60.0, signature=frozenset({1})))
-        assert tracer.stats.traces_retained == 2
+        tracer.set_model(trained_model())
+        assert not tracer.record(make_trace(0, duration=0.002, signature=ROUTINE))
+        assert tracer.record(make_trace(1, duration=0.002, signature=RARE))  # flow
+        assert tracer.record(make_trace(2, duration=0.002, signature=frozenset({7})))
+        assert tracer.record(make_trace(3, duration=0.06, signature=ROUTINE))  # perf
+        assert tracer.stats.traces_retained == 3
+
+    def test_retention_reads_the_detectors_whole_us_cut(self):
+        model = trained_model()
+        threshold = model.stages[(0, 3)].signatures[ROUTINE].duration_threshold
+        cut = exact_duration_cut(threshold)
+        tracer = Tracer(sample_rate=0.0, registry=NULL_REGISTRY)
+        tracer.set_model(model)
+        # Past the float threshold, but the wire carries ``cut`` µs: the
+        # detector counts the task as normal, so the tracer drops it.
+        between = (threshold * 1e6 + cut + 1) / 2 / 1e6
+        assert between > threshold
+        assert wire_header(0, 100.0, between)[1] == cut
+        assert finish(tracer, 0, between) is None
+        past = (cut + 1) / 1e6
+        while wire_header(0, 100.0, past)[1] < cut + 1:
+            past = math.nextafter(past, math.inf)
+        assert finish(tracer, 1, past) is not None
+        assert tracer.stats.traces_retained == 1
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan])
+    def test_a_duration_the_wire_cannot_carry_is_not_retained(self, duration):
+        tracer = Tracer(sample_rate=0.0, registry=NULL_REGISTRY)
+        tracer.set_model(trained_model())
+        assert finish(tracer, 0, duration) is None
+
+    def test_a_retrain_recompiles_the_rule(self):
+        model = trained_model()
+        tracer = Tracer(sample_rate=0.0, registry=NULL_REGISTRY)
+        tracer.set_model(model)
+        assert finish(tracer, 0, 0.002, RARE) is not None
+        model.train(training(rare_every=2))  # RARE is half the stage now
+        assert finish(tracer, 1, 0.002, RARE) is None
 
     def test_retained_ring_bounded(self):
         tracer = Tracer(retained_capacity=2, sample_rate=0.0, registry=NULL_REGISTRY)
